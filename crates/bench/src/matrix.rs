@@ -19,7 +19,6 @@
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::TlbGeometry;
 use tlbdown_sim::fault::FaultSpec;
-use tlbdown_sim::par::ParCfg;
 use tlbdown_sweep::Json;
 use tlbdown_topo::TopologySpec;
 use tlbdown_types::Cycles;
@@ -37,7 +36,6 @@ use crate::enginebench::{run_dispatch_pair, DispatchCfg};
 use crate::figures::{app_levels, fig4_ablation, micro_levels, Scale};
 use crate::fractured::table4;
 use crate::metrics::JobMetrics;
-use crate::stealbench::{run_par_bench, run_steal_pair, StealCfg};
 
 /// What one sweep job runs.
 #[derive(Clone, Debug)]
@@ -116,22 +114,6 @@ pub enum JobSpec {
     /// diffed sim metrics; the wall-clocks and speedup land in the
     /// snapshot's non-diffed `host` block.
     EngineDispatch,
-    /// The steal-pool microbenchmark behind `BENCH_5.json`: a
-    /// deliberately imbalanced sweep matrix (all heavy jobs parked on
-    /// worker 0 by the round-robin pre-distribution) run through the
-    /// old central-mutex pool and the Chase-Lev work-stealing pool,
-    /// timed repetitions interleaved. The canonical reduction digest
-    /// (byte-identical between pools, asserted inside the job) lands in
-    /// the diffed sim metrics; wall-clocks and the steal speedup land
-    /// in the `host` block.
-    StealBench,
-    /// The partitioned-sim microbenchmark behind `BENCH_5.json`: the
-    /// conservative-window parallel executor on the 112-core tier
-    /// shape, run as merged-heap reference, windowed×1 and windowed×N.
-    /// The stream digest (identical across all three, asserted inside
-    /// the job) lands in the diffed sim metrics; wall-clocks, dispatch
-    /// throughput and the intra-sim speedup land in the `host` block.
-    ParSim,
     /// One topology × page-size cell of the `BENCH_6.json` interconnect
     /// matrix (`cargo xtask topobench`): the dual-socket scale tier
     /// re-run under a routed interconnect and the Skylake-SP
@@ -241,8 +223,6 @@ impl MatrixJob {
             JobSpec::ScaleTier { .. } => "scale_tier",
             JobSpec::Storm { .. } => "storm",
             JobSpec::EngineDispatch => "engine_dispatch",
-            JobSpec::StealBench => "steal_bench",
-            JobSpec::ParSim => "par_sim",
             JobSpec::TopoCell { .. } => "topo_cell",
             JobSpec::FracturePressure => "fracture_pressure",
             JobSpec::ReuseChurn { .. } => "reuse_churn",
@@ -317,8 +297,6 @@ impl MatrixJob {
             JobSpec::Table3
             | JobSpec::Fig4
             | JobSpec::EngineDispatch
-            | JobSpec::StealBench
-            | JobSpec::ParSim
             | JobSpec::FracturePressure => {}
         }
         obj
@@ -350,8 +328,6 @@ impl MatrixJob {
                 mesh,
             } => run_storm_cell(*intensity, *fault, *mesh, self.scale),
             JobSpec::EngineDispatch => run_engine_dispatch_job(self.scale),
-            JobSpec::StealBench => run_steal_bench_job(self.scale),
-            JobSpec::ParSim => run_par_sim_job(self.scale),
             JobSpec::TopoCell { topo, thp } => run_topo_cell(*topo, *thp, self.scale),
             JobSpec::FracturePressure => run_fracture_pressure(self.scale),
             JobSpec::ReuseChurn { fitting, level } => {
@@ -652,84 +628,6 @@ fn run_engine_dispatch_job(scale: Scale) -> JobOutput {
         .with("heap_pops_per_sec", Json::F64(pair.heap.pops_per_sec()))
         .with("wheel_pops_per_sec", Json::F64(pair.wheel.pops_per_sec()))
         .with("dispatch_speedup", Json::F64(pair.speedup()));
-    JobOutput {
-        rendered,
-        metrics,
-        host,
-    }
-}
-
-fn run_steal_bench_job(scale: Scale) -> JobOutput {
-    let cfg = match scale {
-        Scale::Quick => StealCfg::quick(),
-        Scale::Full => StealCfg::scale_tier(),
-    };
-    let pair = run_steal_pair(&cfg);
-    let mutex_ns = pair.mutex.elapsed.as_nanos().max(1) as u64;
-    let deque_ns = pair.deque.elapsed.as_nanos().max(1) as u64;
-    let rendered = format!(
-        "steal pool: {} jobs ({} heavy) on {} threads, reduction digest {:016x}\n  \
-         mutex {:>10.2?}\n  \
-         deque {:>10.2?}  speedup {:.2}x\n",
-        pair.deque.jobs,
-        cfg.jobs / cfg.heavy_every,
-        pair.deque.threads,
-        pair.deque.digest,
-        pair.mutex.elapsed,
-        pair.deque.elapsed,
-        pair.speedup()
-    );
-    let mut metrics = JobMetrics::new();
-    metrics.put_u64("jobs", pair.deque.jobs);
-    metrics.put_u64("reduction_digest", pair.deque.digest);
-    let host = Json::obj()
-        .with("mutex_ns", Json::U64(mutex_ns))
-        .with("deque_ns", Json::U64(deque_ns))
-        .with("steal_speedup", Json::F64(pair.speedup()))
-        .with("pool_threads", Json::U64(pair.deque.threads as u64));
-    JobOutput {
-        rendered,
-        metrics,
-        host,
-    }
-}
-
-fn run_par_sim_job(scale: Scale) -> JobOutput {
-    let (cfg, threads, runs) = match scale {
-        Scale::Quick => (ParCfg::quick(0xbe9c_5ea1), 4, 1),
-        Scale::Full => (ParCfg::tier_112(0xbe9c_5ea1), 8, 3),
-    };
-    let b = run_par_bench(&cfg, threads, runs);
-    let serial_ns = b.serial.elapsed.as_nanos().max(1) as u64;
-    let parallel_ns = b.parallel.elapsed.as_nanos().max(1) as u64;
-    let rendered = format!(
-        "partitioned sim: {} partitions, {} dispatches, {} windows, digest {:016x}\n  \
-         windowed x1  {:>10.2?}  {:>5.1}M disp/s\n  \
-         windowed x{:<2} {:>10.2?}  {:>5.1}M disp/s  speedup {:.2}x\n",
-        cfg.partitions,
-        b.parallel.dispatched,
-        b.parallel.windows,
-        b.parallel.digest,
-        b.serial.elapsed,
-        b.serial.dispatch_per_sec() / 1e6,
-        b.parallel.threads,
-        b.parallel.elapsed,
-        b.parallel.dispatch_per_sec() / 1e6,
-        b.speedup()
-    );
-    let mut metrics = JobMetrics::new();
-    metrics.put_u64("dispatched", b.parallel.dispatched);
-    metrics.put_u64("stream_digest", b.parallel.digest);
-    metrics.put_u64("windows", b.parallel.windows);
-    let host = Json::obj()
-        .with("serial_ns", Json::U64(serial_ns))
-        .with("parallel_ns", Json::U64(parallel_ns))
-        .with("par_speedup", Json::F64(b.speedup()))
-        .with("par_threads", Json::U64(b.parallel.threads as u64))
-        .with(
-            "parallel_dispatch_per_sec",
-            Json::F64(b.parallel.dispatch_per_sec()),
-        );
     JobOutput {
         rendered,
         metrics,
@@ -1060,22 +958,6 @@ pub fn scale_matrix(scale: Scale) -> Vec<MatrixJob> {
     ]
 }
 
-/// The `BENCH_5.json` work-stealing matrix behind
-/// `cargo xtask stealbench`: the imbalanced steal-pool comparison and
-/// the conservative-window partitioned sim. Both jobs assert their own
-/// cross-executor byte-equality internally; their sim blocks (reduction
-/// digest, stream digest, window count) are deterministic and diffed
-/// byte-exactly, while wall-clocks and speedups ride in the host
-/// blocks. Run at `Scale::Full` for the committed snapshot,
-/// `Scale::Quick` in tests.
-pub fn stealbench_matrix(scale: Scale) -> Vec<MatrixJob> {
-    let s = scale.label();
-    vec![
-        MatrixJob::new(format!("steal/{s}/parsim"), scale, JobSpec::ParSim),
-        MatrixJob::new(format!("steal/{s}/pool"), scale, JobSpec::StealBench),
-    ]
-}
-
 /// The `BENCH_3.json` shootdown-storm survival matrix behind
 /// `cargo xtask storm`: every [`StormIntensity`] × every
 /// [`storm_faults`] preset, with all seven cumulative optimization
@@ -1247,24 +1129,6 @@ mod tests {
         assert!(disp.host.get("wheel_ns").is_some());
         assert!(disp.host.get("dispatch_speedup").is_some());
         assert!(disp.metrics.render().contains("stream_digest"));
-    }
-
-    #[test]
-    fn stealbench_matrix_jobs_carry_digests_and_host_timings() {
-        let jobs = stealbench_matrix(Scale::Quick);
-        assert_eq!(jobs.len(), 2);
-        let parsim = jobs[0].run();
-        assert!(parsim.metrics.render().contains("stream_digest"));
-        assert!(parsim.host.get("serial_ns").is_some());
-        assert!(parsim.host.get("par_speedup").is_some());
-        let pool = jobs[1].run();
-        assert!(pool.metrics.render().contains("reduction_digest"));
-        assert!(pool.host.get("mutex_ns").is_some());
-        assert!(pool.host.get("steal_speedup").is_some());
-        assert_eq!(
-            jobs[1].config_json().get("kind"),
-            Some(&Json::Str("steal_bench".into()))
-        );
     }
 
     #[test]

@@ -1,13 +1,13 @@
-//! Observational equivalence of the three engine front-ends.
+//! Observational equivalence of the two engine front-ends.
 //!
-//! The timing-wheel and per-socket-partitioned engines exist purely for
-//! dispatch throughput; they must never change what the simulation
-//! *does*. These tests run the same workloads on each front-end — the
-//! wheel, the pure-heap reference, and the partitioned mode — and
-//! require byte-identical observable state: the machine's canonical
-//! state digest, the full Chrome trace export, and the scale tier's
-//! event/cycle counts, at every cumulative optimization level, under
-//! chaos fault injection, and on the 2×56 scale tier.
+//! The timing wheel exists purely for dispatch throughput; it must never
+//! change what the simulation *does*. These tests run the same
+//! workloads on the wheel and on the pure-heap reference and require
+//! byte-identical observable state: the machine's canonical state
+//! digest, the full Chrome trace export, and the scale tier's
+//! event/cycle counts, at every cumulative optimization level, on one
+//! and two sockets, under chaos fault injection, and on the 2×56 scale
+//! tier.
 
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::chaos::ChaosConfig;
@@ -51,36 +51,29 @@ fn wheel_matches_heap_at_every_opt_level() {
     }
 }
 
-#[test]
-fn partitioned_matches_serial_at_every_opt_level() {
-    // A multi-socket machine so the partition split is real (two
-    // sub-heaps), at every cumulative optimization level — the two
-    // sockets also make L8's replica sync live under partitioning.
-    // Digest *and* trace export must match the serial engines
-    // byte-for-byte.
-    let base = || KernelConfig {
+/// The dual-socket paper machine: two sockets make L8's replica sync
+/// live, which the single-socket test machine never exercises.
+fn dual_socket() -> KernelConfig {
+    KernelConfig {
         topo: tlbdown_types::Topology::new(2, 2),
         ..KernelConfig::paper_baseline()
-    };
+    }
+}
+
+#[test]
+fn dual_socket_wheel_matches_heap_at_every_opt_level() {
     for (level, _, opts) in OptConfig::all_levels() {
-        let cfg = || base().with_opts(opts);
-        let serial = traced_run(cfg());
-        let part = traced_run(cfg().with_partitioned_engine(true));
-        assert_eq!(
-            serial.0, part.0,
-            "state digest diverged serial vs partitioned at opt level {level}"
-        );
-        assert_eq!(
-            serial.1, part.1,
-            "trace export diverged serial vs partitioned at opt level {level}"
-        );
-        // And against the pure-heap reference, closing the triangle.
+        let cfg = || dual_socket().with_opts(opts);
+        let wheel = traced_run(cfg());
         let heap = traced_run(cfg().with_heap_only_engine(true));
         assert_eq!(
-            heap.0, part.0,
-            "heap vs partitioned digest at level {level}"
+            wheel.0, heap.0,
+            "dual-socket state digest diverged between engines at opt level {level}"
         );
-        assert_eq!(heap.1, part.1, "heap vs partitioned trace at level {level}");
+        assert_eq!(
+            wheel.1, heap.1,
+            "dual-socket trace export diverged between engines at opt level {level}"
+        );
     }
 }
 
@@ -98,22 +91,23 @@ fn wheel_matches_heap_under_fault_injection() {
 }
 
 #[test]
-fn partitioned_matches_serial_under_fault_injection() {
-    // The chaos fault preset on a dual-socket machine: IPI drops,
-    // delays, duplicates and late IRQs must replay identically when
-    // events live in per-socket sub-heaps.
+fn dual_socket_wheel_matches_heap_under_fault_injection() {
+    // IPI drops, delays, duplicates and late IRQs across two sockets.
     let cfg = || {
-        KernelConfig {
-            topo: tlbdown_types::Topology::new(2, 2),
-            ..KernelConfig::paper_baseline()
-        }
-        .with_opts(OptConfig::general_four())
-        .with_chaos(ChaosConfig::with_fault(FaultSpec::everything(), 0xfa07))
+        dual_socket()
+            .with_opts(OptConfig::general_four())
+            .with_chaos(ChaosConfig::with_fault(FaultSpec::everything(), 0xfa07))
     };
-    let serial = traced_run(cfg());
-    let part = traced_run(cfg().with_partitioned_engine(true));
-    assert_eq!(serial.0, part.0, "state digest diverged under chaos");
-    assert_eq!(serial.1, part.1, "trace export diverged under chaos");
+    let wheel = traced_run(cfg());
+    let heap = traced_run(cfg().with_heap_only_engine(true));
+    assert_eq!(
+        wheel.0, heap.0,
+        "dual-socket state digest diverged under chaos"
+    );
+    assert_eq!(
+        wheel.1, heap.1,
+        "dual-socket trace export diverged under chaos"
+    );
 }
 
 #[test]
@@ -121,7 +115,7 @@ fn explicit_flat_topology_is_byte_identical_to_default_at_every_opt_level() {
     // The flat interconnect is the pinned pre-topology reference: asking
     // for it explicitly must change *nothing* — same state digest, same
     // trace export, at all seven cumulative optimization levels. This is
-    // the contract that keeps BENCH_1..5 byte-stable while ring/mesh
+    // the contract that keeps the BENCH files byte-stable while ring/mesh
     // exist behind the same knob.
     for (level, _, opts) in OptConfig::all_levels() {
         let cfg = || KernelConfig::test_machine(4).with_opts(opts);
@@ -141,21 +135,16 @@ fn explicit_flat_topology_is_byte_identical_to_default_at_every_opt_level() {
 #[test]
 fn routed_topologies_are_engine_invariant() {
     // Ring and mesh routing must be just as deterministic as flat: the
-    // same routed run on the wheel, pure-heap and partitioned front-ends
-    // produces byte-identical digests and trace exports.
-    let base = || KernelConfig {
-        topo: tlbdown_types::Topology::new(2, 2),
-        ..KernelConfig::paper_baseline()
-    };
+    // same routed run on the wheel and pure-heap front-ends produces
+    // byte-identical digests and trace exports.
     for spec in [TopologySpec::ring(), TopologySpec::mesh()] {
         let cfg = || {
-            base()
+            dual_socket()
                 .with_opts(OptConfig::general_four())
                 .with_topology(spec.clone())
         };
         let wheel = traced_run(cfg());
         let heap = traced_run(cfg().with_heap_only_engine(true));
-        let part = traced_run(cfg().with_partitioned_engine(true));
         assert_eq!(
             wheel.0,
             heap.0,
@@ -168,57 +157,35 @@ fn routed_topologies_are_engine_invariant() {
             "{} trace diverged wheel vs heap",
             spec.label()
         );
-        assert_eq!(
-            wheel.0,
-            part.0,
-            "{} digest diverged wheel vs partitioned",
-            spec.label()
-        );
-        assert_eq!(
-            wheel.1,
-            part.1,
-            "{} trace diverged wheel vs partitioned",
-            spec.label()
-        );
     }
 }
 
 #[test]
 fn mesh_scale_tier_smoke_is_engine_invariant() {
-    let run = |heap_only: bool, partitioned: bool| {
+    let run = |heap_only: bool| {
         let mut cfg = ScaleTierCfg::smoke();
         cfg.interconnect = TopologySpec::mesh();
         cfg.heap_only_engine = heap_only;
-        cfg.partitioned_engine = partitioned;
         run_scale_tier(&cfg).expect("mesh tier runs clean")
     };
-    let wheel = run(false, false);
-    let heap = run(true, false);
-    let part = run(false, true);
+    let wheel = run(false);
+    let heap = run(true);
     assert_eq!(wheel.digest, heap.digest, "mesh tier digests diverged");
     assert_eq!(wheel.sim_cycles, heap.sim_cycles);
     assert_eq!(wheel.counters.render_json(), heap.counters.render_json());
-    assert_eq!(part.digest, heap.digest, "mesh partitioned digest diverged");
-    assert_eq!(part.sim_cycles, heap.sim_cycles);
 }
 
 #[test]
 fn scale_tier_smoke_is_engine_invariant() {
-    let run = |heap_only: bool, partitioned: bool| {
+    let run = |heap_only: bool| {
         let mut cfg = ScaleTierCfg::smoke();
         cfg.heap_only_engine = heap_only;
-        cfg.partitioned_engine = partitioned;
         run_scale_tier(&cfg).expect("tier runs clean")
     };
-    let wheel = run(false, false);
-    let heap = run(true, false);
-    let part = run(false, true);
+    let wheel = run(false);
+    let heap = run(true);
     assert_eq!(wheel.digest, heap.digest, "tier digests diverged");
     assert_eq!(wheel.events, heap.events);
     assert_eq!(wheel.sim_cycles, heap.sim_cycles);
     assert_eq!(wheel.counters.render_json(), heap.counters.render_json());
-    assert_eq!(part.digest, heap.digest, "partitioned tier digest diverged");
-    assert_eq!(part.events, heap.events);
-    assert_eq!(part.sim_cycles, heap.sim_cycles);
-    assert_eq!(part.counters.render_json(), heap.counters.render_json());
 }

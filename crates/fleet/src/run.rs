@@ -10,10 +10,8 @@
 //! 2. Job IDs are zero-padded machine IDs, and the sweep pool reduces
 //!    in sorted-ID order, so the profile vector is the same whatever
 //!    the thread count or completion order. This holds for any pool
-//!    that runs every job exactly once — including the Chase-Lev
-//!    work-stealing pool behind [`tlbdown_sweep::run_jobs`], where
-//!    node jobs migrate between workers mid-sweep (the steal-pool
-//!    rerun in `tests/steal_pool.rs` pins this).
+//!    that runs every job exactly once, whichever worker claims it
+//!    (the pool-width reruns in `tests/pool_widths.rs` pin this).
 //! 3. The LB phase is serial over that vector with its own seeded RNG
 //!    and a `(time, seq)`-ordered event queue.
 //!

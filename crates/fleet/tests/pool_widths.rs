@@ -1,16 +1,14 @@
-//! The steal-heavy fleet rerun: the fleet runner on the Chase-Lev
-//! work-stealing pool.
+//! The fleet runner at several sweep-pool widths.
 //!
 //! The fleet's node phase fans one job per machine across the sweep
 //! pool, and machine sims are *not* uniform — a crashing machine
 //! reboots (two full kernel boots), a slow machine runs a degraded
-//! clock, a healthy machine just serves — so the round-robin
-//! pre-distribution is exactly the imbalanced shape that forces idle
-//! workers to steal from loaded ones mid-sweep. These tests rerun that
-//! phase at several pool widths (including widths forcing multiple
-//! stealers per owner deque) and require the canonical fleet document
-//! to stay byte-identical: work stealing may move jobs between
-//! workers, never change what they compute or the order they reduce
+//! clock, a healthy machine just serves — so which worker runs which
+//! machine, and in what order jobs finish, changes with the pool width.
+//! These tests rerun that phase at several widths (one worker, a few,
+//! and more workers than machines) and require the canonical fleet
+//! document to stay byte-identical: the pool may change where and when
+//! a node job runs, never what it computes or the order results reduce
 //! in.
 
 use tlbdown_fleet::{replay_fleet, run_fleet, FleetCfg, FleetFaultSpec};
@@ -30,8 +28,8 @@ fn churn_cell(machines: u32) -> FleetCfg {
 #[test]
 fn fleet_document_is_byte_identical_across_pool_widths() {
     let cfg = churn_cell(12);
-    // 1 = pure owner pops (no steals possible), 3 = owners plus cross
-    // stealing, 8 = more workers than unevenly-sized job classes.
+    // 1 = one worker runs every job in order, 3 = workers race for
+    // jobs, 8 = more workers than unevenly-sized job classes.
     let serial = replay_fleet(&cfg, 1, 3).expect("fleet replays clean at 1 vs 3 threads");
     let wide = replay_fleet(&cfg, 8, 1).expect("fleet replays clean at 8 vs 1 threads");
     assert_eq!(serial, wide, "pool width leaked into the fleet document");
@@ -39,8 +37,8 @@ fn fleet_document_is_byte_identical_across_pool_widths() {
 
 #[test]
 fn oversubscribed_pool_still_reduces_canonically() {
-    // More workers than machines: most deques are empty from the start
-    // and every worker beyond the first N lives entirely on steals.
+    // More workers than machines: the queue drains before most workers
+    // claim anything, and those workers exit without running a job.
     let cfg = churn_cell(6);
     let narrow = run_fleet(&cfg, 2).expect("narrow run clean").sim_json();
     let over = run_fleet(&cfg, 16)

@@ -69,20 +69,4 @@ impl Event {
     pub fn race_eligible(&self) -> bool {
         matches!(self, Event::IpiArrive { .. } | Event::NmiArrive { .. })
     }
-
-    /// The core this event executes on — its partition key for the
-    /// engine's partitioned front-end (core → socket/cluster). Every
-    /// event variant is anchored to exactly one core: resumes, arrivals
-    /// and deferred flushes name their destination; watchdogs run on the
-    /// spin-waiting initiator.
-    pub fn core(&self) -> CoreId {
-        match *self {
-            Event::Resume { core, .. }
-            | Event::IpiArrive { core, .. }
-            | Event::NmiArrive { core }
-            | Event::LazyFlushDue { core, .. }
-            | Event::ForcedFullFlush { core, .. } => core,
-            Event::CsdWatchdog { initiator, .. } => initiator,
-        }
-    }
 }

@@ -949,10 +949,12 @@ impl Machine {
         }
     }
 
-    /// Write-protect and clean the dirty PTEs of `range` (writeback),
-    /// queueing one TLB flush per dirty page — the real `fdatasync` /
-    /// `msync` shape that makes these syscalls flush-heavy (§5.2). Returns
-    /// the scan cost.
+    /// Write-protect and clean the dirty PTEs of `range` that map shared
+    /// files (writeback), queueing one TLB flush per dirty page — the
+    /// real `fdatasync` / `msync` shape that makes these syscalls
+    /// flush-heavy (§5.2). Anonymous pages have no backing store to write
+    /// back, so, as in Linux, they stay dirty and writable. Returns the
+    /// scan cost.
     fn writeback_range(
         &mut self,
         core: CoreId,
@@ -964,8 +966,9 @@ impl Machine {
         // L7: writeback write-protects pages, so parked entries in the
         // range lose their "same permissions" premise — pay the debt.
         self.reuse_invalidate_range(core, sf, mm_id, range);
-        // Visit only pages the dirty index names within the range.
-        let candidates: Vec<u64> = self
+        // Visit only shared-file pages the dirty index names within the
+        // range: only those take the `re_dirty` path on the next write.
+        let mut candidates: Vec<u64> = self
             .dirty_index
             .get(&mm_id)
             .map(|set| {
@@ -977,6 +980,10 @@ impl Machine {
         let mut cleaned: Vec<(VirtAddr, Pte)> = Vec::new();
         {
             let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
+            candidates.retain(|vpn| {
+                mm.vma_at(VirtAddr::new(vpn << 12))
+                    .is_some_and(|vma| matches!(vma.kind, VmaKind::FileShared { .. }))
+            });
             for vpn in &candidates {
                 let va = VirtAddr::new(vpn << 12);
                 match mm.space.entry(va) {
@@ -1709,10 +1716,12 @@ mod tests {
         // `Result` instead of panicking. Drive it with a dirty-index entry
         // whose PTE exists and is dirty — the success path — and confirm
         // the call still cleans exactly that page (the conversion must not
-        // have changed behaviour).
+        // have changed behaviour). Writeback only touches shared-file
+        // pages, so the page is file-backed.
         let mut m = machine();
         let mm = m.create_process().expect("boot: create process");
-        let addr = m.setup_map_anon(mm, 1).expect("boot: map anon");
+        let f = m.create_file(1).expect("boot: create file");
+        let addr = m.setup_map_file(mm, f, true).expect("boot: map file");
         assert!(m.resolve_demand_fault(CoreId(0), mm, addr, true).is_some());
         // The MMU's D-bit walk on the write access.
         let _ = m

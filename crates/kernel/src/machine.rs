@@ -179,9 +179,6 @@ impl Machine {
         let cfg_seed = cfg.epoch_seed(cfg.seed);
         let fault_seed = cfg.epoch_seed(cfg.chaos.fault_seed);
         let heap_only = cfg.engine_heap_only;
-        let partitioned = cfg.engine_partitioned;
-        let cores_per_socket = cfg.topo.cores_per_socket();
-        let sockets = cfg.topo.num_sockets();
         let faults = FaultPlan::new(cfg.chaos.fault.clone(), fault_seed, n);
         let esc = crate::chaos::Escalation::new(n, fault_seed);
         // The directory and fabric carry separate interconnect instances:
@@ -231,15 +228,6 @@ impl Machine {
             cfg,
             engine: if heap_only {
                 Engine::new_heap_only()
-            } else if partitioned {
-                // One sub-heap per socket, routed by the core each event
-                // executes on. Dispatch order stays the exact global
-                // `(at, seq)` total order (the determinism gate pins it
-                // against both other front-ends); the partition split is
-                // the structural hook for conservative-window stepping.
-                Engine::new_partitioned(sockets as usize, move |ev: &Event| {
-                    (ev.core().0 / cores_per_socket) as usize
-                })
             } else {
                 Engine::new()
             },

@@ -94,6 +94,37 @@ fn write_after_msync_redirties_without_flush() {
 }
 
 #[test]
+fn write_after_msync_on_anonymous_memory_is_plain() {
+    // msync writes back file pages only: an anonymous page keeps its
+    // dirty, writable PTE, so the next write neither faults nor needs a
+    // flush.
+    let mut m = boot(1);
+    let mm = m.create_process().expect("boot: create process");
+    let addr = m.setup_map_anon(mm, 1).expect("boot: map anon");
+    run_script(
+        &mut m,
+        mm,
+        vec![
+            ProgAction::Access {
+                va: addr,
+                write: true,
+            },
+            ProgAction::Syscall(Syscall::Msync { addr, pages: 1 }),
+            ProgAction::Access {
+                va: addr,
+                write: true,
+            },
+        ],
+    );
+    assert_eq!(m.stats.counters.get("segfault"), 0);
+    assert_eq!(m.stats.counters.get("shootdown"), 0);
+    assert_eq!(m.stats.counters.get("writeback_pages"), 0);
+    let (pte, _) = m.mms[&mm].space.entry(addr).unwrap();
+    assert!(pte.writable() && pte.dirty());
+    assert!(m.violations().is_empty());
+}
+
+#[test]
 fn mprotect_readonly_then_write_segfaults() {
     let mut m = boot(1);
     let mm = m.create_process().expect("boot: create process");

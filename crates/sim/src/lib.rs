@@ -13,16 +13,12 @@
 //!   commutative-ambiguous events — the branch points a model checker
 //!   (the `check` crate) enumerates; [`FifoScheduler`] reproduces the
 //!   plain `pop` order,
-//! - [`par`]: conservative windowed parallel execution over partitioned
-//!   event streams, pinned byte-identical to a merged-heap serial
-//!   reference (the intra-sim parallelism layer),
 //! - [`rng::SplitMix64`]: a tiny, seedable PRNG used by workload generators,
 //! - [`stats`]: streaming summaries (Welford mean/σ), counters and
 //!   log-scale histograms used by the measurement harness.
 
 pub mod engine;
 pub mod fault;
-pub mod par;
 pub mod rng;
 pub mod sched;
 pub mod stats;

