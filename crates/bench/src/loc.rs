@@ -42,7 +42,7 @@ pub fn table2() -> Vec<LocRow> {
     let smp = effective_loc(include_str!("../../core/src/smp.rs"));
     let deferred = effective_loc(include_str!("../../core/src/deferred.rs"));
     let cow = effective_loc(include_str!("../../core/src/cow.rs"));
-    let batch = effective_loc(include_str!("../../core/src/batch.rs"));
+    let batch = effective_loc(include_str!("../../kernel/src/flush.rs"));
     let gen = effective_loc(include_str!("../../core/src/gen.rs"));
     vec![
         LocRow {
@@ -72,8 +72,8 @@ pub fn table2() -> Vec<LocRow> {
         LocRow {
             name: "Userspace-safe Batching",
             paper_loc: 221,
-            ours_loc: batch,
-            modules: "core/batch.rs",
+            ours_loc: batch, // the flush tokens the 4-slot batch merges
+            modules: "kernel/flush.rs",
         },
     ]
 }

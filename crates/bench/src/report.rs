@@ -136,6 +136,9 @@ pub struct SimDiff {
     /// regression (or an intentional protocol change needing a new
     /// baseline).
     pub changed: Vec<String>,
+    /// One line per changed job naming the keys that moved, dotted for
+    /// nested blocks: `scale/full/2x56-heap: state_digest`.
+    pub drifted: Vec<String>,
 }
 
 impl SimDiff {
@@ -150,22 +153,60 @@ impl SimDiff {
     }
 }
 
+/// Job ID → its `sim` block.
+fn sim_values(doc: &Json) -> BTreeMap<&str, &Json> {
+    let jobs = doc.get("jobs").and_then(Json::as_arr).unwrap_or_default();
+    jobs.iter()
+        .filter_map(|job| Some((job.get("id")?.as_str()?, job.get("sim")?)))
+        .collect()
+}
+
+/// Push the dotted path of every leaf that differs between `cur` and
+/// `base` (a key present on one side only counts as differing). An
+/// object whose keys merely moved is reported as a whole.
+fn drifted_keys(path: &str, cur: &Json, base: &Json, out: &mut Vec<String>) {
+    let before = out.len();
+    if let (Json::Obj(a), Json::Obj(b)) = (cur, base) {
+        let only_base = b.iter().filter(|(k, _)| cur.get(k).is_none());
+        for (k, _) in a.iter().chain(only_base) {
+            let p = if path.is_empty() {
+                k.clone()
+            } else {
+                format!("{path}.{k}")
+            };
+            match (cur.get(k), base.get(k)) {
+                (Some(x), Some(y)) => drifted_keys(&p, x, y, out),
+                _ => out.push(p),
+            }
+        }
+    }
+    if out.len() == before && cur.render() != base.render() {
+        out.push(path.to_string());
+    }
+}
+
 /// Compare two snapshots' `sim` blocks byte-exactly (job set changes are
 /// reported separately from metric changes).
 pub fn diff_sim_metrics(current: &Json, baseline: &Json) -> SimDiff {
-    let cur = sim_blocks(current);
-    let base = sim_blocks(baseline);
+    let cur = sim_values(current);
+    let base = sim_values(baseline);
     let mut diff = SimDiff::default();
-    for (id, sim) in &cur {
+    for (&id, sim) in &cur {
         match base.get(id) {
-            None => diff.added.push(id.clone()),
-            Some(b) if b != sim => diff.changed.push(id.clone()),
-            Some(_) => {}
+            None => diff.added.push(id.to_string()),
+            Some(b) => {
+                let mut keys = Vec::new();
+                drifted_keys("", sim, b, &mut keys);
+                if !keys.is_empty() {
+                    diff.changed.push(id.to_string());
+                    diff.drifted.push(format!("{id}: {}", keys.join(", ")));
+                }
+            }
         }
     }
-    for id in base.keys() {
+    for &id in base.keys() {
         if !cur.contains_key(id) {
-            diff.removed.push(id.clone());
+            diff.removed.push(id.to_string());
         }
     }
     diff
@@ -462,10 +503,10 @@ fn gate_against_baseline(
             format_args!("baseline job missing from this run ({path})"),
         );
     }
-    for id in &diff.changed {
+    for (id, keys) in diff.changed.iter().zip(&diff.drifted) {
         v.fail_job(
             id,
-            format_args!("deterministic sim metrics drifted vs {path}"),
+            format_args!("deterministic sim metrics drifted vs {path} ({keys})"),
         );
     }
     if diff.metrics_match() {
@@ -556,6 +597,28 @@ mod tests {
         assert_eq!(diff.added, vec!["t4/r1".to_string()]);
         assert!(diff.removed.is_empty());
         assert!(!diff.metrics_match());
+    }
+
+    #[test]
+    fn diff_names_the_drifted_keys_of_each_job() {
+        let doc = |sim: &str| {
+            let text = format!(
+                r#"{{"jobs": [{{"id": "scale/full/2x56-heap", "sim": {sim}}},
+                              {{"id": "same", "sim": {{"x": 1}}}}]}}"#
+            );
+            Json::parse(&text).expect("test doc parses")
+        };
+        let base = doc(r#"{"digest": 1, "counters": {"a": 1, "b": 2}, "ok": 1}"#);
+        assert!(diff_sim_metrics(&base, &base).drifted.is_empty());
+        let cur = doc(r#"{"digest": 2, "counters": {"a": 1, "b": 2}, "ok": 1}"#);
+        let diff = diff_sim_metrics(&cur, &base);
+        assert_eq!(diff.changed, vec!["scale/full/2x56-heap".to_string()]);
+        assert_eq!(diff.drifted, vec!["scale/full/2x56-heap: digest"]);
+        let cur = doc(r#"{"digest": 2, "counters": {"a": 1, "b": 3}}"#);
+        assert_eq!(
+            diff_sim_metrics(&cur, &base).drifted,
+            vec!["scale/full/2x56-heap: digest, counters.b, ok"]
+        );
     }
 
     fn t4_jobs() -> Vec<Job<(Json, JobOutput)>> {

@@ -52,12 +52,6 @@ impl FlushTlbInfo {
         }
     }
 
-    /// Mark that the operation freed page tables.
-    pub fn with_freed_tables(mut self) -> Self {
-        self.freed_tables = true;
-        self
-    }
-
     /// Number of pages this request names (0 when full).
     pub fn page_count(&self) -> u64 {
         if self.full {
@@ -98,13 +92,6 @@ mod tests {
         let f = FlushTlbInfo::full(MmId::new(1), 3);
         assert!(f.effective_full());
         assert_eq!(f.page_count(), 0);
-    }
-
-    #[test]
-    fn freed_tables_marker() {
-        let f =
-            FlushTlbInfo::ranged(MmId::new(1), range(1), PageSize::Size4K, 2).with_freed_tables();
-        assert!(f.freed_tables);
     }
 
     #[test]

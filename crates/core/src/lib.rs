@@ -11,7 +11,7 @@
 //! | 3.3 | Cacheline consolidation | [`smp`] (line layouts & access scripts) |
 //! | 3.4 | In-context PTI flushes | [`deferred`] |
 //! | 4.1 | CoW flush avoidance | [`cow`] |
-//! | 4.2 | Userspace-safe batching | [`batch`] |
+//! | 4.2 | Userspace-safe batching | flush tokens and their 4-slot batch in `tlbdown-kernel` |
 //!
 //! Supporting structures reproduce the Linux machinery the techniques hook
 //! into: [`info::FlushTlbInfo`] (`struct flush_tlb_info`), [`gen`] (the
@@ -23,7 +23,6 @@
 //! lives in `tlbdown-kernel`; everything here is deterministic data logic,
 //! which is what makes the property tests in this crate possible.
 
-pub mod batch;
 pub mod cow;
 pub mod cpustate;
 pub mod deferred;
@@ -33,7 +32,6 @@ pub mod opts;
 pub mod protocol;
 pub mod smp;
 
-pub use batch::BatchState;
 pub use cow::{cow_flush_method, CowFlushMethod};
 pub use cpustate::CpuTlbState;
 pub use deferred::DeferredUserFlush;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tlbdown_core::{
-    flush_decision, BatchState, DeferredUserFlush, FlushAction, FlushTlbInfo, MmGen, FLUSH_CEILING,
+    flush_decision, DeferredUserFlush, FlushAction, FlushTlbInfo, MmGen, FLUSH_CEILING,
 };
 use tlbdown_types::{MmId, PageSize, VirtAddr, VirtRange};
 
@@ -88,39 +88,6 @@ proptest! {
                         "page {vpn} escaped the merged range"
                     );
                 }
-            }
-        }
-    }
-
-    /// Batching never loses work: everything deferred is either present
-    /// verbatim at the barrier or subsumed by a full flush stamped with
-    /// the newest generation.
-    #[test]
-    fn batching_preserves_flush_obligations(n in 1usize..12) {
-        let mut b = BatchState::new();
-        b.begin();
-        let infos: Vec<FlushTlbInfo> =
-            (0..n).map(|i| info(i as u64 + 1, (i as u64) * 8, 2)).collect();
-        for i in &infos {
-            b.defer(*i);
-        }
-        let out = b.end();
-        prop_assert!(!out.is_empty());
-        let max_full_gen = out.iter().filter(|o| o.full).map(|o| o.new_tlb_gen).max();
-        for i in &infos {
-            let verbatim = out.iter().any(|o| o == i);
-            let subsumed = max_full_gen.map(|g| i.new_tlb_gen <= g).unwrap_or(false);
-            prop_assert!(
-                verbatim || subsumed,
-                "deferred flush (gen {}) neither preserved nor subsumed",
-                i.new_tlb_gen
-            );
-        }
-        if max_full_gen.is_none() {
-            // No overflow: everything exactly preserved, in order.
-            prop_assert_eq!(out.len(), n);
-            for (a, b) in out.iter().zip(infos.iter()) {
-                prop_assert_eq!(a, b);
             }
         }
     }

@@ -7,6 +7,10 @@ use tlbdown_types::{CostModel, Topology};
 
 use crate::chaos::ChaosConfig;
 
+/// Delay before a LATR-deferred flush executes on a remote core (see
+/// [`KernelConfig::lazy_latr`]).
+pub const LAZY_LATR_DELAY_CYCLES: u64 = 100_000;
+
 /// Configuration of one simulated kernel boot.
 #[derive(Clone, Debug)]
 pub struct KernelConfig {
@@ -23,16 +27,10 @@ pub struct KernelConfig {
     pub safe_mode: bool,
     /// LATR-style lazy shootdowns: PTE-modifying syscalls return without
     /// waiting for (or even sending) IPIs; flushes are applied on each
-    /// core asynchronously after `lazy_latr_delay_cycles`. Reproduces the
-    /// related-work behaviour of §2.3.2 so its hazards can be demonstrated.
+    /// core asynchronously after [`LAZY_LATR_DELAY_CYCLES`]. Reproduces
+    /// the related-work behaviour of §2.3.2 so its hazards can be
+    /// demonstrated.
     pub lazy_latr: bool,
-    /// Delay before a LATR-deferred flush executes on a remote core.
-    pub lazy_latr_delay_cycles: u64,
-    /// Emulate the CPU speculatively caching the faulting PTE between
-    /// page-fault delivery and the handler's PTE update (§4.1 hazard).
-    pub speculative_fill_on_fault: bool,
-    /// Whether the safety oracle records violations (cheap; leave on).
-    pub oracle: bool,
     /// Failure injection: omit the §3.2 `nmi_uaccess_okay` pending-flush
     /// extension, so NMI probes during the early-ack window read through
     /// stale entries (used by tests to demonstrate the hazard).
@@ -121,9 +119,6 @@ impl KernelConfig {
             opts: OptConfig::baseline(),
             safe_mode: true,
             lazy_latr: false,
-            lazy_latr_delay_cycles: 100_000,
-            speculative_fill_on_fault: true,
-            oracle: true,
             buggy_nmi_check: false,
             buggy_quarantine: false,
             noise_cycles: 0,

@@ -13,10 +13,11 @@
 use std::collections::VecDeque;
 
 use tlbdown_apic::LocalApic;
-use tlbdown_core::{BatchState, CpuTlbState, FlushAction, FlushTlbInfo, ShootdownId};
+use tlbdown_core::{CpuTlbState, FlushAction, FlushTlbInfo, ShootdownId};
 use tlbdown_types::PhysAddr;
 use tlbdown_types::{CoreId, Cycles, VirtAddr};
 
+use crate::flush::{FlushBatch, FlushToken};
 use crate::prog::Syscall;
 
 /// Privilege mode of a core, as visible to cost accounting (PTI makes
@@ -113,9 +114,6 @@ pub enum SyscallStage {
 /// A system-call frame.
 #[derive(Debug)]
 pub struct SyscallFrame {
-    /// Retire pairs accumulated while batching (attached to the last
-    /// barrier shootdown so nothing retires before every flush ran).
-    pub batched_retires: Vec<(u64, u64)>,
     /// The call being serviced.
     pub call: Syscall,
     /// Current stage.
@@ -124,21 +122,36 @@ pub struct SyscallFrame {
     pub retval: u64,
     /// Active shootdown run, if any.
     pub sd: Option<ShootdownRun>,
-    /// Flushes queued to run sequentially (multi-VMA fdatasync, and the
-    /// §4.2 batching barrier at `mmap_sem` release), each with its retire
-    /// pairs.
-    pub barrier: VecDeque<(FlushTlbInfo, Vec<(u64, u64)>)>,
+    /// Flushes queued to run sequentially (multi-VMA fdatasync, L7 debt
+    /// ahead of the operation's own flush, and the §4.2 batching barrier
+    /// at `mmap_sem` release).
+    pub(crate) barrier: VecDeque<FlushToken>,
     /// Frames whose freeing must wait until the covering flushes complete
     /// (Linux's mmu-gather discipline; freeing earlier is the LATR hazard).
     pub pending_frees: Vec<PhysAddr>,
     /// Start time (latency accounting).
     pub started: Cycles,
-    /// Whether this frame entered batched mode and must end it.
-    pub batched: bool,
     /// Whether this frame *ever* entered batched mode (Exit re-sync).
     pub did_batch: bool,
     /// §4.2 per-invocation batching state (`batched_mode` + 4 slots).
-    pub batch: BatchState,
+    pub(crate) batch: FlushBatch,
+}
+
+impl SyscallFrame {
+    /// A frame for `call` entering the kernel at `started`.
+    pub(crate) fn new(call: Syscall, started: Cycles) -> Self {
+        SyscallFrame {
+            call,
+            stage: SyscallStage::AcquireSem,
+            retval: 0,
+            sd: None,
+            barrier: VecDeque::new(),
+            pending_frees: Vec::new(),
+            started,
+            did_batch: false,
+            batch: FlushBatch::default(),
+        }
+    }
 }
 
 /// Stages of a page fault.
@@ -250,9 +263,11 @@ pub struct ShootdownRun {
 }
 
 impl ShootdownRun {
-    /// Build a run for `info`; the flush entry lists are derived from the
-    /// info's range unless it is (effectively) a full flush.
-    pub fn new(info: FlushTlbInfo) -> Self {
+    /// Build a run discharging `token`; the flush entry lists are derived
+    /// from its range unless it is (effectively) a full flush, and its
+    /// retire pairs retire when the run completes.
+    pub(crate) fn new(token: FlushToken) -> Self {
+        let (info, retire) = token.into_parts();
         let local_full = info.effective_full();
         let entries: Vec<VirtAddr> = if local_full {
             Vec::new()
@@ -270,7 +285,7 @@ impl ShootdownRun {
             uidx: 0,
             initial_targets: 0,
             local_mode: LocalMode::Normal,
-            retire: Vec::new(),
+            retire,
             decided: None,
             user_handled: false,
             trace_op: None,

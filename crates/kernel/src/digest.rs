@@ -18,6 +18,12 @@
 //! needs — two runs of the same schedule on the same scenario must agree
 //! on every hashed component, so a digest mismatch is proof of
 //! nondeterminism.
+//!
+//! The frame stacks are hashed through their `{:?}` rendering. The digest
+//! is therefore stable within one build but moves with frame layout: a
+//! field added to, removed from or reordered in a live frame (a
+//! `SyscallFrame`, a `ShootdownRun`) changes every digest taken while such
+//! a frame is on a stack, even though the machine behaves identically.
 
 use std::fmt::Write as _;
 

@@ -5,16 +5,17 @@
 //! the core. Cross-core-visible effects (acknowledgements, IPIs) add their
 //! propagation latency explicitly in `shoot.rs`.
 
-use tlbdown_core::{cow_flush_method, CowFlushMethod, FlushTlbInfo};
+use tlbdown_core::{cow_flush_method, CowFlushMethod};
 use tlbdown_mem::{FrameState, Pte};
 use tlbdown_types::{
-    CoreId, Cycles, MmId, PageSize, Pcid, PteFlags, SimError, VirtAddr, VirtRange,
+    CoreId, Cycles, MmId, PageSize, Pcid, PhysAddr, PteFlags, SimError, VirtAddr, VirtRange,
 };
 
 use crate::cpu::{
     FaultFrame, FaultStage, Frame, FrameSlot, NmiFrame, NmiStage, ProgFrame, ResumeState,
     ShootdownRun, SyscallFrame, SyscallStage,
 };
+use crate::flush::FlushToken;
 use crate::machine::Machine;
 use crate::mm::VmaKind;
 use crate::prog::{ProgAction, ProgCtx, Syscall};
@@ -217,12 +218,7 @@ impl Machine {
                 Some(g) if g < cur_gen => {
                     // Stale PCID-tagged entries survive the CR3 reload;
                     // flush them (lazy-exit / switch-in sync, §2.2).
-                    self.tlbs[core.index()].flush_pcid(pcid);
-                    cost += self.cfg.costs.full_flush;
-                    if self.cfg.safe_mode {
-                        self.tlbs[core.index()].flush_pcid(pcid.user_sibling());
-                        cost += self.cfg.costs.full_flush;
-                    }
+                    cost += self.flush_mm_pcids(core, pcid);
                     self.stats.counters.bump("switch_in_flush");
                     cur_gen
                 }
@@ -241,13 +237,7 @@ impl Machine {
             let local = self.cpus[core.index()].tlb_state.local_tlb_gen;
             if local < cur_gen {
                 let pcid = self.cpus[core.index()].tlb_state.kernel_pcid;
-                self.tlbs[core.index()].flush_pcid(pcid);
-                cost += self.cfg.costs.full_flush;
-                if self.cfg.safe_mode {
-                    let upcid = self.cpus[core.index()].tlb_state.user_pcid;
-                    self.tlbs[core.index()].flush_pcid(upcid);
-                    cost += self.cfg.costs.full_flush;
-                }
+                cost += self.flush_mm_pcids(core, pcid);
                 self.cpus[core.index()].tlb_state.local_tlb_gen = cur_gen;
                 self.stats.counters.bump("lazy_exit_flush");
             }
@@ -258,6 +248,17 @@ impl Machine {
         cost += tlbdown_core::smp::run_script(&mut self.dir, core, &script);
         self.cpus[core.index()].current = Some(idx);
         Ok(cost)
+    }
+
+    /// Full-flush the address space tagged `pcid` on `core`, and its user
+    /// view too under PTI; returns the cost.
+    pub(crate) fn flush_mm_pcids(&mut self, core: CoreId, pcid: Pcid) -> Cycles {
+        self.tlbs[core.index()].flush_pcid(pcid);
+        if !self.cfg.safe_mode {
+            return self.cfg.costs.full_flush;
+        }
+        self.tlbs[core.index()].flush_pcid(pcid.user_sibling());
+        self.cfg.costs.full_flush * 2
     }
 
     /// Transition `core` to the idle kernel thread (lazy-TLB mode, §3.3).
@@ -323,19 +324,7 @@ impl Machine {
             ProgAction::Syscall(call) => {
                 let entry = Cycles::new(self.cfg.costs.syscall(self.cfg.safe_mode).as_u64() / 2);
                 StepOut::Push {
-                    frame: Frame::Syscall(SyscallFrame {
-                        call,
-                        stage: SyscallStage::AcquireSem,
-                        retval: 0,
-                        sd: None,
-                        batched_retires: Vec::new(),
-                        barrier: Default::default(),
-                        pending_frees: Vec::new(),
-                        started: self.engine.now(),
-                        batched: false,
-                        did_batch: false,
-                        batch: tlbdown_core::BatchState::new(),
-                    }),
+                    frame: Frame::Syscall(SyscallFrame::new(call, self.engine.now())),
                     cost: entry,
                 }
             }
@@ -420,20 +409,7 @@ impl Machine {
                 if !acc.hit {
                     trace_emit!(self, core, None::<u64>, TraceEvent::PageWalk { va: va.0 });
                 }
-                let page = va.align_down(PageSize::Size4K);
-                if self.cfg.oracle {
-                    if acc.hit {
-                        self.oracle.check_hit(
-                            core,
-                            pcid.is_user_view(),
-                            mm_id,
-                            page,
-                            "user access",
-                        );
-                    } else {
-                        self.oracle_filled(core, pcid.is_user_view(), mm_id, &acc.entry);
-                    }
-                }
+                self.oracle_observe(core, pcid.is_user_view(), mm_id, va, &acc, "user access");
                 // Writes keep the dirty bit honest even on cached entries
                 // (the MMU's microcode D-bit walk).
                 if write {
@@ -523,7 +499,6 @@ impl Machine {
                     )
                 {
                     sf.batch.begin();
-                    sf.batched = true;
                     sf.did_batch = true;
                     // §4.2: signal initiators that this core is inside a
                     // batched syscall and needs no IPI.
@@ -576,10 +551,8 @@ impl Machine {
                 }
             }
             SyscallStage::BarrierNext => {
-                if let Some((info, retire)) = sf.barrier.pop_front() {
-                    let mut run = ShootdownRun::new(info);
-                    run.retire = retire;
-                    sf.sd = Some(run);
+                if let Some(token) = sf.barrier.pop_front() {
+                    self.queue_flush(sf, token);
                     sf.stage = SyscallStage::Shootdown;
                 } else {
                     sf.stage = SyscallStage::Release;
@@ -590,28 +563,13 @@ impl Machine {
                 let mm_id = self.current_mm(core);
                 // §4.2 barrier: flush everything deferred in batched mode
                 // *before* dropping the semaphore.
-                if sf.batched {
-                    sf.batched = false;
-                    let infos = sf.batch.end();
-                    if !infos.is_empty() {
+                if sf.batch.active() {
+                    let tokens = sf.batch.end();
+                    if !tokens.is_empty() {
                         self.stats
                             .counters
-                            .add("batched_flushes", infos.len() as u64);
-                        // Nothing retires before the whole barrier ran:
-                        // the accumulated pairs ride on the last flush.
-                        let n = infos.len();
-                        let retires = std::mem::take(&mut sf.batched_retires);
-                        sf.barrier = infos
-                            .into_iter()
-                            .enumerate()
-                            .map(|(i, info)| {
-                                if i + 1 == n {
-                                    (info, retires.clone())
-                                } else {
-                                    (info, Vec::new())
-                                }
-                            })
-                            .collect();
+                            .add("batched_flushes", tokens.len() as u64);
+                        sf.barrier.extend(tokens);
                         sf.stage = SyscallStage::BarrierNext;
                         return StepOut::Continue(Cycles::ZERO);
                     }
@@ -646,14 +604,7 @@ impl Machine {
                     let cur_gen = self.mms.get(&mm_id).map(|m| m.gen.current()).unwrap_or(0);
                     let ts = &self.cpus[core.index()].tlb_state;
                     if ts.local_tlb_gen < cur_gen {
-                        let kpcid = ts.kernel_pcid;
-                        let upcid = ts.user_pcid;
-                        self.tlbs[core.index()].flush_pcid(kpcid);
-                        flush_cost += self.cfg.costs.full_flush;
-                        if self.cfg.safe_mode {
-                            self.tlbs[core.index()].flush_pcid(upcid);
-                            flush_cost += self.cfg.costs.full_flush;
-                        }
+                        flush_cost += self.flush_mm_pcids(core, ts.kernel_pcid);
                         self.cpus[core.index()].tlb_state.local_tlb_gen = cur_gen;
                         self.cpus[core.index()].tlb_state.deferred_user.take();
                         self.stats.counters.bump("batched_exit_flush");
@@ -735,42 +686,22 @@ impl Machine {
                 self.split_huge_leaves(mm_id, range);
                 // L7: parked pages the unmap covers must pay their elided
                 // flush before the mapping disappears.
-                self.reuse_invalidate_range(core, sf, mm_id, range);
-                let (removed_count, info, changed) = {
+                self.reuse_invalidate_range(sf, mm_id, range);
+                let out = {
                     let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
                     mm.remove_vmas(range);
-                    let out = mm.space.unmap_range(&mut self.mem, range);
-                    let n = out.removed.len();
-                    let mut info = None;
-                    if n > 0 || out.freed_tables {
-                        let gen = mm.gen.bump();
-                        let mut i = FlushTlbInfo::ranged(mm_id, range, PageSize::Size4K, gen);
-                        if out.freed_tables {
-                            i = i.with_freed_tables();
-                        }
-                        info = Some(i);
-                    }
-                    let changed: Vec<(VirtAddr, Pte)> =
-                        out.removed.iter().map(|&(va, pte, _)| (va, pte)).collect();
-                    for (_, pte, _) in &out.removed {
-                        match self.frame_refs.put_page(pte.addr) {
-                            Ok(true) => sf.pending_frees.push(pte.addr),
-                            Ok(false) => {}
-                            Err(e) => self.record_error(e),
-                        }
-                    }
-                    (n as u64, info, changed)
+                    mm.space.unmap_range(&mut self.mem, range)
                 };
-                let mut cost = costs.pte_update * removed_count.max(1);
-                if let Some(info) = info {
-                    let retire = if self.cfg.oracle {
-                        self.oracle.range_modified(mm_id, range)
-                    } else {
-                        Vec::new()
-                    };
-                    self.reuse_bump_versions(mm_id, range);
-                    cost += self.numa_replica_update(core, mm_id, &changed, &retire);
-                    self.queue_flush(core, sf, info, retire);
+                let changed: Vec<(VirtAddr, Pte)> =
+                    out.removed.iter().map(|&(va, pte, _)| (va, pte)).collect();
+                for &(_, pte) in &changed {
+                    self.release_frame(pte.addr, &mut sf.pending_frees);
+                }
+                let mut cost = costs.pte_update * (changed.len() as u64).max(1);
+                if !changed.is_empty() || out.freed_tables {
+                    let (token, sync) = self.pte_changed(core, mm_id, range, &changed)?;
+                    cost += sync;
+                    self.queue_flush(sf, token.with_freed_tables(out.freed_tables));
                 }
                 sf.retval = 0;
                 Ok(cost)
@@ -778,55 +709,29 @@ impl Machine {
             Syscall::MadviseDontNeed { addr, pages } => {
                 let range = VirtRange::pages(addr, pages, PageSize::Size4K);
                 self.split_huge_leaves(mm_id, range);
-                // L7 reuse-skip: park the zapped pages (frames stay
-                // referenced, oracle pairs stay un-retired) and elide the
-                // shootdown entirely. Capacity evictions and stale twins
-                // pay their debt through queue_flush inside the helper.
-                if self.cfg.opts.reuse_skip {
-                    let removed = {
-                        let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
-                        mm.space.zap_range(range).removed
-                    };
-                    let n = removed.len() as u64;
-                    let changed: Vec<(VirtAddr, Pte)> =
-                        removed.iter().map(|&(va, pte, _)| (va, pte)).collect();
-                    self.reuse_park_zap(core, sf, mm_id, range, removed);
-                    // L8 on top of L7: the zap is still a PTE update the
-                    // socket replicas must see, flush elision or not.
-                    let sync = self.numa_replica_update(core, mm_id, &changed, &[]);
-                    sf.retval = 0;
-                    return Ok(costs.pte_update * n.max(1) + sync);
-                }
-                let (removed_count, info, changed) = {
+                let removed = {
                     let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
-                    let out = mm.space.zap_range(range);
-                    let n = out.removed.len();
-                    let info = if n > 0 {
-                        let gen = mm.gen.bump();
-                        Some(FlushTlbInfo::ranged(mm_id, range, PageSize::Size4K, gen))
-                    } else {
-                        None
-                    };
-                    let changed: Vec<(VirtAddr, Pte)> =
-                        out.removed.iter().map(|&(va, pte, _)| (va, pte)).collect();
-                    for (_, pte, _) in &out.removed {
-                        match self.frame_refs.put_page(pte.addr) {
-                            Ok(true) => sf.pending_frees.push(pte.addr),
-                            Ok(false) => {}
-                            Err(e) => self.record_error(e),
-                        }
-                    }
-                    (n as u64, info, changed)
+                    mm.space.zap_range(range).removed
                 };
-                let mut cost = costs.pte_update * removed_count.max(1);
-                if let Some(info) = info {
-                    let retire = if self.cfg.oracle {
-                        self.oracle.range_modified(mm_id, range)
-                    } else {
-                        Vec::new()
-                    };
-                    cost += self.numa_replica_update(core, mm_id, &changed, &retire);
-                    self.queue_flush(core, sf, info, retire);
+                let changed: Vec<(VirtAddr, Pte)> =
+                    removed.iter().map(|&(va, pte, _)| (va, pte)).collect();
+                let mut cost = costs.pte_update * (changed.len() as u64).max(1);
+                if self.cfg.opts.reuse_skip {
+                    // L7 reuse-skip: park the zapped pages (frames stay
+                    // referenced, oracle pairs stay un-retired) and elide
+                    // the shootdown entirely. Capacity evictions and stale
+                    // twins pay their debt through queue_flush inside the
+                    // helper. L8 on top of L7: the zap is still a PTE update
+                    // the socket replicas must see, flush elision or not.
+                    self.reuse_park_zap(sf, mm_id, range, removed);
+                    cost += self.numa_replica_update(core, mm_id, &changed, &[]);
+                } else if !changed.is_empty() {
+                    for &(_, pte) in &changed {
+                        self.release_frame(pte.addr, &mut sf.pending_frees);
+                    }
+                    let (token, sync) = self.pte_changed(core, mm_id, range, &changed)?;
+                    cost += sync;
+                    self.queue_flush(sf, token);
                 }
                 sf.retval = 0;
                 Ok(cost)
@@ -860,8 +765,8 @@ impl Machine {
                 self.split_huge_leaves(mm_id, range);
                 // L7: a permission change over parked pages invalidates
                 // their "same permissions" premise — pay the debt first.
-                self.reuse_invalidate_range(core, sf, mm_id, range);
-                let (n, info, changed) = {
+                self.reuse_invalidate_range(sf, mm_id, range);
+                let changed: Vec<(VirtAddr, Pte)> = {
                     let mm = self.mms.get_mut(&mm_id).ok_or(SimError::NoSuchMm(mm_id))?;
                     let (set, clear) = if write {
                         (PteFlags::WRITABLE, PteFlags::empty())
@@ -869,31 +774,16 @@ impl Machine {
                         (PteFlags::empty(), PteFlags::WRITABLE)
                     };
                     let changed = mm.space.protect_range(range, set, clear);
-                    let n = changed.len() as u64;
-                    // Only permission *reductions* require a flush.
-                    let info = if n > 0 && !write {
-                        let gen = mm.gen.bump();
-                        Some(FlushTlbInfo::ranged(mm_id, range, PageSize::Size4K, gen))
-                    } else {
-                        None
-                    };
-                    let changed: Vec<(VirtAddr, Pte)> =
-                        changed.into_iter().map(|(va, pte, _)| (va, pte)).collect();
-                    (n, info, changed)
+                    changed.into_iter().map(|(va, pte, _)| (va, pte)).collect()
                 };
-                let mut cost = costs.pte_update * n.max(1);
-                if let Some(info) = info {
-                    let retire = if self.cfg.oracle {
-                        self.oracle.range_modified(mm_id, range)
-                    } else {
-                        Vec::new()
-                    };
-                    self.reuse_bump_versions(mm_id, range);
-                    cost += self.numa_replica_update(core, mm_id, &changed, &retire);
-                    // mprotect is not on the §4.2 list: always synchronous.
-                    let mut run = ShootdownRun::new(info);
-                    run.retire = retire;
-                    sf.sd = Some(run);
+                let mut cost = costs.pte_update * (changed.len() as u64).max(1);
+                // Only permission *reductions* require a flush. mprotect is
+                // not on the §4.2 list, so it runs synchronously, after any
+                // L7 debt the invalidation above queued.
+                if !changed.is_empty() && !write {
+                    let (token, sync) = self.pte_changed(core, mm_id, range, &changed)?;
+                    cost += sync;
+                    self.queue_flush(sf, token);
                 }
                 sf.retval = 0;
                 Ok(cost)
@@ -917,20 +807,7 @@ impl Machine {
                     };
                     match res {
                         Ok(acc) => {
-                            if self.cfg.oracle {
-                                let page = va.align_down(PageSize::Size4K);
-                                if acc.hit {
-                                    self.oracle.check_hit(
-                                        core,
-                                        false,
-                                        mm_id,
-                                        page,
-                                        "kernel uaccess",
-                                    );
-                                } else {
-                                    self.oracle_filled(core, false, mm_id, &acc.entry);
-                                }
-                            }
+                            self.oracle_observe(core, false, mm_id, va, &acc, "kernel uaccess");
                             cost += acc.cost + costs.mem_access * 63; // copy the rest of the page
                         }
                         Err(_) => {
@@ -965,7 +842,7 @@ impl Machine {
         let costs = self.cfg.costs.clone();
         // L7: writeback write-protects pages, so parked entries in the
         // range lose their "same permissions" premise — pay the debt.
-        self.reuse_invalidate_range(core, sf, mm_id, range);
+        self.reuse_invalidate_range(sf, mm_id, range);
         // Visit only shared-file pages the dirty index names within the
         // range: only those take the `re_dirty` path on the next write.
         let mut candidates: Vec<u64> = self
@@ -1016,23 +893,11 @@ impl Machine {
         }
         // One flush (and oracle stamp) per cleaned page.
         let mut sync_cost = Cycles::ZERO;
-        for (va, old_pte) in &cleaned {
-            let page_range = VirtRange::pages(*va, 1, PageSize::Size4K);
-            let retire = if self.cfg.oracle {
-                self.oracle.range_modified(mm_id, page_range)
-            } else {
-                Vec::new()
-            };
-            self.reuse_bump_versions(mm_id, page_range);
-            sync_cost += self.numa_replica_update(core, mm_id, &[(*va, *old_pte)], &retire);
-            let gen = self
-                .mms
-                .get_mut(&mm_id)
-                .ok_or(SimError::NoSuchMm(mm_id))?
-                .gen
-                .bump();
-            let info = FlushTlbInfo::ranged(mm_id, page_range, PageSize::Size4K, gen);
-            self.queue_flush(core, sf, info, retire);
+        for &(va, old_pte) in &cleaned {
+            let page_range = VirtRange::pages(va, 1, PageSize::Size4K);
+            let (token, sync) = self.pte_changed(core, mm_id, page_range, &[(va, old_pte)])?;
+            sync_cost += sync;
+            self.queue_flush(sf, token);
         }
         self.stats
             .counters
@@ -1040,25 +905,28 @@ impl Machine {
         Ok(costs.pte_update * (cleaned.len() as u64).max(1) + sync_cost)
     }
 
-    /// Route a flush either through batching (§4.2) or synchronously.
-    /// `retire` is the oracle snapshot to apply when the flush completes.
-    pub(crate) fn queue_flush(
-        &mut self,
-        _core: CoreId,
-        sf: &mut SyscallFrame,
-        info: FlushTlbInfo,
-        retire: Vec<(u64, u64)>,
-    ) {
-        if sf.batched {
-            sf.batch.defer(info);
-            sf.batched_retires.extend(retire);
+    /// The one sink for a syscall's flush obligations: defer it into the
+    /// §4.2 batch, run it now, or queue it behind the run in flight. This
+    /// is the only place a syscall installs a shootdown run.
+    pub(crate) fn queue_flush(&mut self, sf: &mut SyscallFrame, token: FlushToken) {
+        if sf.batch.active() {
+            sf.batch.defer(token);
             self.stats.counters.bump("flush_deferred");
         } else if sf.sd.is_none() {
-            let mut run = ShootdownRun::new(info);
-            run.retire = retire;
-            sf.sd = Some(run);
+            sf.sd = Some(ShootdownRun::new(token));
         } else {
-            sf.barrier.push_back((info, retire));
+            sf.barrier.push_back(token);
+        }
+    }
+
+    /// Drop one reference on frame `pa`. A frame whose last reference
+    /// this was is freed only once the covering flush completes, so it
+    /// joins `pending`.
+    pub(crate) fn release_frame(&mut self, pa: PhysAddr, pending: &mut Vec<PhysAddr>) {
+        match self.frame_refs.put_page(pa) {
+            Ok(true) => pending.push(pa),
+            Ok(false) => {}
+            Err(e) => self.record_error(e),
         }
     }
 
@@ -1230,21 +1098,15 @@ impl Machine {
         self.stats.counters.bump("cow_fault");
         // §4.1 hazard: the CPU may speculatively re-cache the old PTE
         // between the fault and the PTE update.
-        if self.cfg.speculative_fill_on_fault {
-            let pcid = self.user_mode_pcid(core);
-            self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, old_pte);
-        }
+        let pcid = self.user_mode_pcid(core);
+        self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, old_pte);
         // Copy the page and swap the PTE.
         let new_pa = match self.mem.alloc(FrameState::UserPage) {
             Ok(pa) => pa,
             Err(_) => return self.segfault(core, ff),
         };
         self.frame_refs.get_page(new_pa);
-        match self.frame_refs.put_page(old_pte.addr) {
-            Ok(true) => ff.pending_frees.push(old_pte.addr),
-            Ok(false) => {}
-            Err(e) => self.record_error(e),
-        }
+        self.release_frame(old_pte.addr, &mut ff.pending_frees);
         let new_flags = old_pte
             .flags
             .with(PteFlags::WRITABLE | PteFlags::DIRTY | PteFlags::ACCESSED)
@@ -1262,29 +1124,18 @@ impl Machine {
             self.record_error(e);
             return self.segfault(core, ff);
         }
-        let mut retire = Vec::new();
-        if self.cfg.oracle {
-            let v = self.oracle.pte_modified(mm_id, page);
-            retire.push((page.vpn(), v));
-        }
+        // Flush: a 1-page shootdown run whose local part uses either
+        // INVLPG or the §4.1 access trick.
         let page_range = VirtRange::pages(page, 1, PageSize::Size4K);
-        self.reuse_bump_versions(mm_id, page_range);
-        let sync_cost = self.numa_replica_update(core, mm_id, &[(page, old_pte)], &retire);
-        // Flush: bump the generation and build a 1-page shootdown run; the
-        // local part uses either INVLPG or the §4.1 access trick.
-        let Some(mm) = self.mms.get_mut(&mm_id) else {
-            self.record_error(SimError::NoSuchMm(mm_id));
-            return self.segfault(core, ff);
+        let (token, sync_cost) = match self.pte_changed(core, mm_id, page_range, &[(page, old_pte)])
+        {
+            Ok(changed) => changed,
+            Err(e) => {
+                self.record_error(e);
+                return self.segfault(core, ff);
+            }
         };
-        let gen = mm.gen.bump();
-        let info = FlushTlbInfo::ranged(
-            mm_id,
-            VirtRange::pages(page, 1, PageSize::Size4K),
-            PageSize::Size4K,
-            gen,
-        );
-        let mut run = ShootdownRun::new(info);
-        run.retire = retire;
+        let mut run = ShootdownRun::new(token);
         if cow_flush_method(old_pte.flags, &self.cfg.opts) == CowFlushMethod::AccessTrick {
             run = run.with_cow_trick(page);
             self.stats.counters.bump("cow_access_trick");
@@ -1330,21 +1181,29 @@ impl Machine {
         split
     }
 
-    /// Record a TLB fill with the oracle, covering every 4KB page the
-    /// installed entry translates: a 2MB fill caches 512 translations at
-    /// once, and each must be individually eligible for staleness checks
-    /// when a later flush retires part of the range.
-    fn oracle_filled(
+    /// Show the oracle one access to `va`: a TLB hit is checked for
+    /// staleness; a fill is recorded for every 4KB page the installed
+    /// entry translates (a 2MB fill caches 512 translations at once, and
+    /// each must be individually eligible for staleness checks when a
+    /// later flush retires part of the range).
+    fn oracle_observe(
         &mut self,
         core: CoreId,
         user_view: bool,
         mm_id: MmId,
-        entry: &tlbdown_tlb::TlbEntry,
+        va: VirtAddr,
+        acc: &tlbdown_tlb::Access,
+        what: &str,
     ) {
-        let pages = entry.size.bytes() / PageSize::Size4K.bytes();
+        if acc.hit {
+            let page = va.align_down(PageSize::Size4K);
+            self.oracle.check_hit(core, user_view, mm_id, page, what);
+            return;
+        }
+        let pages = acc.entry.size.bytes() / PageSize::Size4K.bytes();
         for i in 0..pages {
-            self.oracle
-                .tlb_filled(core, user_view, mm_id, entry.page_base.add(i * 4096));
+            let page = acc.entry.page_base.add(i * 4096);
+            self.oracle.tlb_filled(core, user_view, mm_id, page);
         }
     }
 
@@ -1538,15 +1397,7 @@ impl Machine {
                     Err(_) => self.stats.counters.bump("nmi_probe_fault"),
                 }
                 if let Ok(acc) = res {
-                    if self.cfg.oracle {
-                        let page = va.align_down(PageSize::Size4K);
-                        if acc.hit {
-                            self.oracle
-                                .check_hit(core, false, mm_id, page, "nmi uaccess");
-                        } else {
-                            self.oracle_filled(core, false, mm_id, &acc.entry);
-                        }
-                    }
+                    self.oracle_observe(core, false, mm_id, va, &acc, "nmi uaccess");
                 }
                 StepOut::Continue(Cycles::new(400))
             }
@@ -1631,19 +1482,9 @@ mod tests {
     }
 
     fn syscall_frame(stage: SyscallStage) -> SyscallFrame {
-        SyscallFrame {
-            call: Syscall::MmapAnon { pages: 1 },
-            stage,
-            retval: 0,
-            sd: None,
-            batched_retires: Vec::new(),
-            barrier: Default::default(),
-            pending_frees: Vec::new(),
-            started: Cycles::ZERO,
-            batched: false,
-            did_batch: false,
-            batch: tlbdown_core::BatchState::new(),
-        }
+        let mut sf = SyscallFrame::new(Syscall::MmapAnon { pages: 1 }, Cycles::ZERO);
+        sf.stage = stage;
+        sf
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //!   [`machine::Machine::start_tracing`] records typed `tlbdown_trace`
 //!   events — shootdown phases, IPIs, flushes, page walks, cacheline
 //!   transfers — without perturbing simulation state.
+//!
+//! Every PTE change that owes a TLB flush is a `#[must_use]` flush token
+//! (see `flush.rs`); `unused_must_use` is denied crate-wide, so dropping
+//! one on the floor is a build error.
+
+#![deny(unused_must_use)]
 
 pub mod chaos;
 pub mod config;
@@ -31,6 +37,7 @@ pub mod cpu;
 pub mod digest;
 pub mod event;
 mod exec;
+mod flush;
 pub mod machine;
 pub mod mm;
 pub mod oracle;

@@ -28,7 +28,6 @@
 //!
 //! [`Oracle::reuse_restored`]: crate::oracle::Oracle::reuse_restored
 
-use tlbdown_core::FlushTlbInfo;
 use tlbdown_mem::Pte;
 use tlbdown_types::{CoreId, Cycles, MmId, PageSize, PhysAddr, VirtAddr, VirtRange};
 
@@ -72,32 +71,13 @@ impl Machine {
     /// carrying the parked retire pairs, plus the frame release the park
     /// deferred. Runs on eviction, replacement, and conflicting-operation
     /// invalidation.
-    pub(crate) fn reuse_pay_debt(
-        &mut self,
-        core: CoreId,
-        sf: &mut SyscallFrame,
-        mm_id: MmId,
-        vpn: u64,
-        entry: ReuseEntry,
-    ) {
-        let page = VirtAddr::new(vpn << 12);
-        let Some(mm) = self.mms.get_mut(&mm_id) else {
+    fn reuse_pay_debt(&mut self, sf: &mut SyscallFrame, mm_id: MmId, vpn: u64, entry: ReuseEntry) {
+        let Some(token) = self.debt_token(mm_id, vpn, entry.retire) else {
             return;
         };
-        let gen = mm.gen.bump();
-        let info = FlushTlbInfo::ranged(
-            mm_id,
-            VirtRange::pages(page, 1, PageSize::Size4K),
-            PageSize::Size4K,
-            gen,
-        );
         self.stats.counters.bump("reuse_debt_flush");
-        self.queue_flush(core, sf, info, entry.retire);
-        match self.frame_refs.put_page(entry.pte.addr) {
-            Ok(true) => sf.pending_frees.push(entry.pte.addr),
-            Ok(false) => {}
-            Err(e) => self.record_error(e),
-        }
+        self.queue_flush(sf, token);
+        self.release_frame(entry.pte.addr, &mut sf.pending_frees);
     }
 
     /// Invalidate parked entries overlapping `range` before a conflicting
@@ -105,7 +85,6 @@ impl Machine {
     /// mean: each hit pays its debt flush. No-op when reuse-skip is off.
     pub(crate) fn reuse_invalidate_range(
         &mut self,
-        core: CoreId,
         sf: &mut SyscallFrame,
         mm_id: MmId,
         range: VirtRange,
@@ -118,7 +97,7 @@ impl Machine {
             None => return,
         };
         for (vpn, entry) in hits {
-            self.reuse_pay_debt(core, sf, mm_id, vpn, entry);
+            self.reuse_pay_debt(sf, mm_id, vpn, entry);
         }
     }
 
@@ -129,7 +108,6 @@ impl Machine {
     /// the zap's flush elision count for the caller's cost math.
     pub(crate) fn reuse_park_zap(
         &mut self,
-        core: CoreId,
         sf: &mut SyscallFrame,
         mm_id: MmId,
         range: VirtRange,
@@ -143,7 +121,7 @@ impl Machine {
         // would have recorded them. Pairs for pages that had no PTE carry
         // no flush debt; leaving them un-retired is the conservative
         // (always-legal) direction.
-        let pairs: std::collections::HashMap<u64, u64> = if any_change && self.cfg.oracle {
+        let pairs: std::collections::HashMap<u64, u64> = if any_change {
             self.oracle
                 .range_modified(mm_id, range)
                 .into_iter()
@@ -184,7 +162,7 @@ impl Machine {
                 .unwrap_or(0);
             let mut retire: Vec<(u64, u64)> =
                 pairs.get(&vpn).map(|&v| vec![(vpn, v)]).unwrap_or_default();
-            if buggy && self.cfg.oracle && !retire.is_empty() {
+            if buggy && !retire.is_empty() {
                 // THE INJECTED BUG: claim the flush guarantee at park
                 // time, skipping the versioned-PTE deferral protocol —
                 // no flush ran, no fills were re-stamped, yet the pairs
@@ -200,7 +178,7 @@ impl Machine {
                 None => None,
             };
             if let Some(old) = old {
-                self.reuse_pay_debt(core, sf, mm_id, vpn, old);
+                self.reuse_pay_debt(sf, mm_id, vpn, old);
             }
             let cap = self.cfg.reuse_window_cap;
             let evicted = match self.mms.get_mut(&mm_id) {
@@ -217,7 +195,7 @@ impl Machine {
             };
             if let Some((evpn, evicted)) = evicted {
                 self.stats.counters.bump("reuse_evict");
-                self.reuse_pay_debt(core, sf, mm_id, evpn, evicted);
+                self.reuse_pay_debt(sf, mm_id, evpn, evicted);
             }
         }
         self.stats.counters.add("reuse_park", n);
@@ -252,9 +230,7 @@ impl Machine {
         // §4.1-style hazard, reused: the CPU may speculatively cache the
         // parked PTE inside the fault window, before the version check.
         let pcid = self.user_mode_pcid(core);
-        if self.cfg.speculative_fill_on_fault {
-            self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, pte);
-        }
+        self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, pte);
         let current = self
             .mms
             .get(&mm_id)?
@@ -271,9 +247,7 @@ impl Machine {
             // take the normal path. The parked entry stays as recorded
             // debt — its version can no longer match, so it sits inert
             // until an invalidation or eviction pays it off.
-            if self.cfg.speculative_fill_on_fault {
-                self.tlbs[core.index()].invlpg(pcid, page);
-            }
+            self.tlbs[core.index()].invlpg(pcid, page);
             self.stats.counters.bump("reuse_version_miss");
             return None;
         }
@@ -292,26 +266,20 @@ impl Machine {
         };
         if !map_ok {
             // Re-park so the frame reference and debt stay tracked.
-            if self.cfg.speculative_fill_on_fault {
-                self.tlbs[core.index()].invlpg(pcid, page);
-            }
+            self.tlbs[core.index()].invlpg(pcid, page);
             let cap = self.cfg.reuse_window_cap;
             if let Some(mm) = self.mms.get_mut(&mm_id) {
                 mm.reuse.park(vpn, entry, cap);
             }
             return None;
         }
-        if self.cfg.oracle {
-            for &(_, v) in &entry.retire {
-                self.oracle.reuse_restored(mm_id, page, v);
-            }
-            if self.cfg.speculative_fill_on_fault {
-                // The speculative fill now caches a *valid* identical
-                // translation: record it at the current version.
-                self.oracle
-                    .tlb_filled(core, pcid.is_user_view(), mm_id, page);
-            }
+        for &(_, v) in &entry.retire {
+            self.oracle.reuse_restored(mm_id, page, v);
         }
+        // The speculative fill now caches a *valid* identical translation:
+        // record it at the current version.
+        self.oracle
+            .tlb_filled(core, pcid.is_user_view(), mm_id, page);
         if entry.pte.dirty() {
             self.dirty_index.entry(mm_id).or_default().insert(vpn);
         }
@@ -433,10 +401,8 @@ impl Machine {
         }
         let pcid = self.user_mode_pcid(core);
         self.tlbs[core.index()].fill_speculative(pcid, page, PageSize::Size4K, sp.pte);
-        if self.cfg.oracle {
-            self.oracle
-                .tlb_filled_at(core, pcid.is_user_view(), mm_id, page, sp.version);
-        }
+        self.oracle
+            .tlb_filled_at(core, pcid.is_user_view(), mm_id, page, sp.version);
         self.stats.counters.bump("numapte_stale_walk");
         true
     }

@@ -5,6 +5,7 @@ use tlbdown_core::smp::run_script;
 use tlbdown_core::{flush_decision, use_early_ack, FlushAction, FlushTlbInfo, Shootdown};
 use tlbdown_types::{CoreId, Cycles, PageSize, SimError, VirtRange};
 
+use crate::config::LAZY_LATR_DELAY_CYCLES;
 use crate::cpu::{IrqAct, IrqFrame, IrqStage, LocalMode, SdStage, ShootdownRun};
 use crate::event::Event;
 use crate::machine::Machine;
@@ -126,7 +127,7 @@ impl Machine {
                     // asynchronously after a delay. (The §2.3.2 hazard.)
                     for t in &candidates {
                         self.engine.schedule_in(
-                            Cycles::new(self.cfg.lazy_latr_delay_cycles),
+                            Cycles::new(LAZY_LATR_DELAY_CYCLES),
                             Event::LazyFlushDue {
                                 core: *t,
                                 info: run.info,
@@ -300,7 +301,7 @@ impl Machine {
                             });
                             let access_cost = match acc {
                                 Some(Ok(a)) => {
-                                    if self.cfg.oracle && !a.hit {
+                                    if !a.hit {
                                         self.oracle.tlb_filled(
                                             core,
                                             false,
@@ -470,9 +471,7 @@ impl Machine {
     /// current versions would claim guarantees on behalf of other
     /// still-in-flight operations.
     pub(crate) fn finish_sd(&mut self, _core: CoreId, run: &ShootdownRun) {
-        if self.cfg.oracle {
-            self.oracle.retire_exact(run.info.mm, &run.retire);
-        }
+        self.oracle.retire_exact(run.info.mm, &run.retire);
         self.stats.counters.bump("shootdown_done");
     }
 
@@ -598,10 +597,7 @@ impl Machine {
                         // mm's own PCID; flush them wholesale and record
                         // the synced generation for the next switch-in.
                         if let Some(pcid) = self.mms.get(&info.mm).map(|m| m.pcid) {
-                            self.tlbs[core.index()].flush_pcid(pcid);
-                            if self.cfg.safe_mode {
-                                self.tlbs[core.index()].flush_pcid(pcid.user_sibling());
-                            }
+                            self.flush_mm_pcids(core, pcid);
                             self.cpus[core.index()].pcid_gens.insert(info.mm, mm_gen);
                             trace_emit!(
                                 self,
@@ -892,10 +888,7 @@ impl Machine {
         match flush_decision(ts.local_tlb_gen, mm_gen, &info) {
             FlushAction::Skip => {}
             FlushAction::Full { upto } => {
-                self.tlbs[core.index()].flush_pcid(kpcid);
-                if self.cfg.safe_mode {
-                    self.tlbs[core.index()].flush_pcid(upcid);
-                }
+                self.flush_mm_pcids(core, kpcid);
                 self.cpus[core.index()].tlb_state.local_tlb_gen = upto;
             }
             FlushAction::Selective {

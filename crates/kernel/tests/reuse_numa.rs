@@ -167,6 +167,46 @@ fn reuse_window_overflow_pays_debt_flushes() {
     assert!(m.violations().is_empty(), "{:?}", m.violations());
 }
 
+#[test]
+fn mprotect_over_parked_page_pays_its_debt_flush() {
+    // A write-protect over a parked page owes two flushes: the park's
+    // elided one, paid as debt before the permission change, and the
+    // mprotect's own. Both must run; neither may replace the other.
+    let mut m = Machine::new(reuse_cfg());
+    let mm = m.create_process().expect("boot: create process");
+    let addr = m.setup_map_anon(mm, 2).expect("boot: map anon");
+    run_script(
+        &mut m,
+        mm,
+        0,
+        vec![
+            ProgAction::Access {
+                va: addr,
+                write: true,
+            },
+            ProgAction::Access {
+                va: addr.add(4096),
+                write: true,
+            },
+            ProgAction::Syscall(Syscall::MadviseDontNeed { addr, pages: 1 }),
+            ProgAction::Syscall(Syscall::Mprotect {
+                addr,
+                pages: 2,
+                write: false,
+            }),
+        ],
+    );
+    m.run();
+    assert_eq!(m.stats.counters.get("reuse_park"), 1);
+    assert_eq!(m.stats.counters.get("reuse_debt_flush"), 1);
+    assert_eq!(
+        m.stats.counters.get("shootdown_done"),
+        2,
+        "the debt flush and the mprotect flush both complete"
+    );
+    assert!(m.violations().is_empty(), "{:?}", m.violations());
+}
+
 /// The canary script: core 1 warms a translation, core 0 zaps it with
 /// `madvise(DONTNEED)` mid-window, core 1 touches it again.
 fn cross_core_zap_scripts(m: &mut Machine, mm: tlbdown_types::MmId, addr: VirtAddr) {
@@ -202,12 +242,11 @@ fn buggy_reuse_skip_retire_at_park_is_a_real_stale_read() {
     // Satellite: `buggy_reuse_skip` claims the flush guarantee at park
     // time with no flush run. Core 1's warm entry survives, so its
     // post-park touch reads through a translation the kernel has already
-    // "guaranteed" gone — a deterministic oracle violation under
-    // `speculative_fill_on_fault`. The real reuse-skip path runs the same
-    // schedule clean: its parked pairs stay un-retired.
+    // "guaranteed" gone — a deterministic oracle violation, given the
+    // speculative fill the fault path always models. The real reuse-skip
+    // path runs the same schedule clean: its parked pairs stay un-retired.
     for buggy in [false, true] {
         let mut m = Machine::new(reuse_cfg().with_buggy_reuse_skip(buggy));
-        assert!(m.cfg.speculative_fill_on_fault);
         let mm = m.create_process().expect("boot: create process");
         let addr = m.setup_map_anon(mm, 2).expect("boot: map anon");
         cross_core_zap_scripts(&mut m, mm, addr);
