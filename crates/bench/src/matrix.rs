@@ -492,7 +492,7 @@ fn run_table4_row(row: usize) -> JobOutput {
 fn run_scale_tier_job(heap_only: bool, scale: Scale) -> JobOutput {
     let mut cfg = match scale {
         Scale::Quick => ScaleTierCfg::smoke(),
-        Scale::Full => ScaleTierCfg::dual_socket_56(10_000_000),
+        Scale::Full => ScaleTierCfg::dual_socket_56(Cycles::new(19_000_000)),
     };
     cfg.heap_only_engine = heap_only;
     let r = run_scale_tier(&cfg).expect("scale tier runs clean");
@@ -646,14 +646,14 @@ pub fn topo_specs() -> Vec<(&'static str, TopologySpec)> {
 }
 
 /// Tier shape for one topobench cell: the smoke tier at `Quick`, the
-/// 2×56 tier at a reduced dispatch target at `Full` — seven cells × two
-/// replay runs each (plus the gate's second thread-count pass) must stay
-/// within a CI-friendly wall-clock budget, and topology/geometry
-/// contrast saturates well before the BENCH_2 ten-million-event target.
+/// 2×56 tier at a 4M-cycle horizon at `Full` — seven cells × two replay
+/// runs each (plus the gate's second thread-count pass) must stay within
+/// a CI-friendly wall-clock budget, and topology/geometry contrast
+/// saturates well before the BENCH_2 19M-cycle horizon.
 fn topo_tier(scale: Scale) -> ScaleTierCfg {
     match scale {
         Scale::Quick => ScaleTierCfg::smoke(),
-        Scale::Full => ScaleTierCfg::dual_socket_56(2_000_000),
+        Scale::Full => ScaleTierCfg::dual_socket_56(Cycles::new(4_000_000)),
     }
 }
 

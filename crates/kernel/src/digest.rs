@@ -62,7 +62,10 @@ impl Machine {
     /// module docs for coverage and caveats.
     pub fn state_digest(&self) -> u64 {
         let mut h = Fnv::new();
-        let _ = write!(h, "t={};", self.engine.now().as_u64());
+        // The last dispatch, not the clock: `run_until` may carry the
+        // clock onto spinning cores' virtual steps, and a digest must not
+        // depend on which loop drove the same dispatches.
+        let _ = write!(h, "t={};", self.engine.last_dispatch().as_u64());
         for (i, cpu) in self.cpus.iter().enumerate() {
             let _ = write!(
                 h,

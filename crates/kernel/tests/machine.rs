@@ -130,6 +130,28 @@ fn shootdown_reaches_responder() {
 }
 
 #[test]
+fn run_returns_when_only_spinners_remain() {
+    // The busy responder queues no events of its own, so `run` drains
+    // once the initiator exits, with the responder still spinning.
+    let mut m = boot(2, OptConfig::baseline(), true);
+    let mm = m.create_process().expect("boot: create process");
+    m.spawn(mm, CoreId(0), Box::new(MadviseLoop::new(4, 5)));
+    m.spawn(mm, CoreId(1), Box::new(BusyLoopProg));
+    m.run();
+    assert!(m.engine.is_empty());
+    assert_eq!(m.stats.counters.get("madvise_dontneed"), 5);
+    assert!(m.stats.counters.get("shootdown_irq") >= 5);
+    assert_eq!(m.stats.counters.get("thread_exit"), 1);
+    let end = m.now();
+    m.run_until(end + Cycles::new(1_000));
+    assert!(
+        m.now() > end && m.now() <= end + Cycles::new(1_000),
+        "the spinner's virtual steps still move the clock"
+    );
+    assert!(m.violations().is_empty(), "{:?}", m.violations());
+}
+
+#[test]
 fn all_optimizations_stay_safe() {
     for safe in [true, false] {
         for (level, _, opts) in OptConfig::all_levels() {

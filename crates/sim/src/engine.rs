@@ -127,6 +127,9 @@ enum MinLoc {
 #[derive(Debug)]
 pub struct Engine<E> {
     now: Cycles,
+    /// Fire time of the last dispatched event (`now`, unless
+    /// [`Engine::advance_to`] moved the clock past it since).
+    dispatched: Cycles,
     seq: u64,
     popped: u64,
     /// Near-time events, bucketed by `(at >> SLOT_SHIFT) % WHEEL_SLOTS`.
@@ -183,6 +186,7 @@ impl<E> Engine<E> {
         };
         Engine {
             now: Cycles::ZERO,
+            dispatched: Cycles::ZERO,
             seq: 0,
             popped: 0,
             slots,
@@ -202,9 +206,17 @@ impl<E> Engine<E> {
         !self.heap_only
     }
 
-    /// The current simulated time (the fire time of the last popped event).
+    /// The current simulated time (the fire time of the last popped
+    /// event, or later after [`Engine::advance_to`]).
     pub fn now(&self) -> Cycles {
         self.now
+    }
+
+    /// The fire time of the last dispatched event. It ignores
+    /// [`Engine::advance_to`], so it depends only on the dispatch history,
+    /// not on how far the owner let the clock run past it.
+    pub fn last_dispatch(&self) -> Cycles {
+        self.dispatched
     }
 
     /// Number of events waiting in the queue.
@@ -462,6 +474,7 @@ impl<E> Engine<E> {
     pub fn pop(&mut self) -> Option<E> {
         let ev = self.pop_min()?;
         self.now = self.checked_fire_time(ev.at, ev.seq);
+        self.dispatched = self.now;
         self.popped += 1;
         Some(ev.payload)
     }
@@ -469,6 +482,17 @@ impl<E> Engine<E> {
     /// The fire time of the next event without popping it.
     pub fn peek_time(&self) -> Option<Cycles> {
         self.min_key().map(|(at, _, _)| at)
+    }
+
+    /// Move the clock forward to `t` without dispatching anything, for an
+    /// owner that models steps between queued events itself (the
+    /// kernel's spinning cores). The clock never moves backwards and
+    /// never passes the next pending event, so dispatch order and the
+    /// wheel's single-rotation invariant are untouched.
+    /// [`Engine::last_dispatch`] stays where it was.
+    pub fn advance_to(&mut self, t: Cycles) {
+        let t = self.peek_time().map_or(t, |next| t.min(next));
+        self.now = self.now.max(t);
     }
 
     /// Pop the next event with a pluggable [`Scheduler`] deciding among
@@ -563,6 +587,7 @@ impl<E> Engine<E> {
         self.cand_buf = cands;
         self.skip_buf = skipped;
         self.now = t_min;
+        self.dispatched = t_min;
         self.popped += 1;
         Some(chosen.payload)
     }
@@ -612,6 +637,7 @@ impl<E> Engine<E> {
             self.insert(ev);
         }
         self.now = t_min;
+        self.dispatched = t_min;
         self.popped += 1;
         Some(chosen.payload)
     }
@@ -636,6 +662,7 @@ impl<E> Engine<E> {
     /// changed.
     pub fn reset(&mut self) {
         self.now = Cycles::ZERO;
+        self.dispatched = Cycles::ZERO;
         self.seq = 0;
         self.popped = 0;
         for s in &mut self.slots {
@@ -690,6 +717,30 @@ mod tests {
         assert_eq!(e.pop(), Some(2));
         assert_eq!(e.now(), Cycles::new(50));
         assert_eq!(e.time_regressions(), 0, "clamped schedule is not an error");
+    }
+
+    #[test]
+    fn advance_to_moves_forward_but_never_past_a_pending_event() {
+        for mut e in [Engine::new(), Engine::new_heap_only()] {
+            e.schedule_in(Cycles::new(10), 1u32);
+            e.schedule_in(Cycles::new(5_000_000), 2);
+            assert_eq!(e.pop(), Some(1));
+            e.advance_to(Cycles::new(4)); // behind the clock: no-op
+            assert_eq!(e.now(), Cycles::new(10));
+            e.advance_to(Cycles::new(300));
+            assert_eq!(e.now(), Cycles::new(300));
+            assert_eq!(e.last_dispatch(), Cycles::new(10));
+            e.advance_to(Cycles::new(9_000_000)); // capped at the far event
+            assert_eq!(e.now(), Cycles::new(5_000_000));
+            assert_eq!(e.events_processed(), 1, "advancing dispatches nothing");
+            e.schedule_in(Cycles::new(70), 3);
+            assert_eq!(e.pop(), Some(2));
+            assert_eq!(e.pop(), Some(3));
+            assert_eq!(e.now(), Cycles::new(5_000_070));
+            assert_eq!(e.time_regressions(), 0);
+            e.advance_to(Cycles::new(6_000_000)); // empty queue: uncapped
+            assert_eq!(e.now(), Cycles::new(6_000_000));
+        }
     }
 
     #[test]

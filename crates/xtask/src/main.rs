@@ -73,10 +73,16 @@
 //!   pool widths. L7 must elide fitting-churn shootdowns, L8 alone must
 //!   sync page-table replicas, and every storm cell must survive.
 //!
+//! - `cargo xtask paper [--golden PATH]` — the golden-figures gate:
+//!   run `figures all` and byte-diff its output against
+//!   `figures_output.txt`, leaving Table 2 out of both sides (it counts
+//!   source lines, so it moves with every edit to the optimization
+//!   modules). A mismatch names the first diverging line.
+//!
 //! - `cargo xtask ci [seed] [--gates fast|full]` — every gate above.
 //!   `--gates fast` runs the PR-blocking tier (fmt, clippy, replay,
 //!   engine); `--gates full` runs the long matrix gates (explore,
-//!   bench, scale, topo, optbench, storm, fleet, trace); omitting the
+//!   bench, scale, topo, optbench, storm, fleet, trace, paper); omitting the
 //!   flag runs both tiers. All selected gates run even if an early one
 //!   fails; a final table reports per-gate pass/fail with wall-clock,
 //!   the machine-readable verdicts land in `ci_report.json`, and the
@@ -123,6 +129,10 @@ const SHRINK_BUDGET: u64 = 2_000;
 /// the byte-exact sim-metric diff.
 const DEFAULT_TOLERANCE: f64 = 3.0;
 
+/// The committed full-scale `figures all` output the paper gate diffs
+/// against.
+const GOLDEN_FIGURES: &str = "figures_output.txt";
+
 /// Minimum dispatch-throughput improvement (pure-heap wall-clock over
 /// timing-wheel wall-clock on the same stream) the scale gate requires.
 const MIN_DISPATCH_SPEEDUP: f64 = 2.0;
@@ -141,8 +151,8 @@ fn main() -> ExitCode {
         Some("bench") => bench_gate(parse_threads(&args), snap("BENCH_1.json")),
         Some("scalebench") => scale_bench_gate(snap("BENCH_2.json")),
         // The committed artifact is the 2×56 tier, so `topobench`
-        // defaults to full; the reduced dispatch target keeps it
-        // CI-sized (see `topo_tier`).
+        // defaults to full; the shorter horizon keeps it CI-sized (see
+        // `topo_tier`).
         Some("topobench") => topo_bench_gate(parse_scale(&args, Scale::Full), snap("BENCH_6.json")),
         // The committed BENCH_7.json is the quick-scale matrix: the
         // cells simulate twice each and the matrix runs at two pool
@@ -179,13 +189,16 @@ fn main() -> ExitCode {
         Some("trace") => {
             trace_gate(&flag(&args, "--out").unwrap_or_else(|| "sample.trace.json".into()))
         }
+        Some("paper") => {
+            paper_gate(&flag(&args, "--golden").unwrap_or_else(|| GOLDEN_FIGURES.into()))
+        }
         Some("ci") => return ci(parse_seed(positional(&args, 1)), parse_gates(&args)),
         _ => {
             eprintln!(
                 "usage: cargo xtask <fmt | clippy | replay [seed] | \
                  explore [--threads N] [--out PATH] | engine [seed] | \
                  sweep [--threads N] [--scale quick|full] [--out PATH] | trace [--out PATH] | \
-                 ci [seed] [--gates fast|full] | GATE [--out PATH] [--baseline PATH] \
+                 paper [--golden PATH] | ci [seed] [--gates fast|full] | GATE [--out PATH] [--baseline PATH] \
                  [--tolerance F]>, where GATE is one of: \
                  bench [--threads N] | scalebench | \
                  topobench [--scale quick|full] | optbench [--scale quick|full] | \
@@ -318,6 +331,89 @@ fn run_cargo(what: &str, args: &[&str]) -> bool {
             false
         }
     }
+}
+
+/// The golden-figures gate: `figures all` must reproduce `golden` byte
+/// for byte, Table 2 aside.
+fn paper_gate(golden: &str) -> bool {
+    let args = [
+        "run",
+        "--release",
+        "--quiet",
+        "-p",
+        "tlbdown-bench",
+        "--bin",
+        "figures",
+        "--",
+        "all",
+    ];
+    println!("xtask: cargo {}", args.join(" "));
+    let out = match Command::new(env!("CARGO", "run via cargo"))
+        .args(args)
+        .stderr(std::process::Stdio::inherit())
+        .output()
+    {
+        Ok(o) if o.status.success() => o,
+        Ok(_) => {
+            eprintln!("xtask: PAPER GATE FAILED — figures exited nonzero");
+            return false;
+        }
+        Err(e) => {
+            eprintln!("xtask: could not run the figures binary: {e}");
+            return false;
+        }
+    };
+    let want = match std::fs::read_to_string(golden) {
+        Ok(text) => without_table2(&text),
+        Err(e) => {
+            eprintln!("xtask: PAPER GATE FAILED — cannot read {golden}: {e}");
+            return false;
+        }
+    };
+    let got = without_table2(&String::from_utf8_lossy(&out.stdout));
+    if got == want {
+        println!(
+            "xtask: paper OK — `figures all` matches {golden} byte for byte \
+             ({} lines, Table 2 excluded)",
+            got.lines().count()
+        );
+        return true;
+    }
+    let (g, w): (Vec<&str>, Vec<&str>) = (got.lines().collect(), want.lines().collect());
+    let at = g
+        .iter()
+        .zip(&w)
+        .position(|(a, b)| a != b)
+        .unwrap_or(g.len().min(w.len()));
+    eprintln!(
+        "xtask: PAPER GATE FAILED — `figures all` diverges from {golden} at line {} \
+         of the Table-2-free text ({} vs {} lines)\n  got:  {:?}\n  want: {:?}",
+        at + 1,
+        g.len(),
+        w.len(),
+        g.get(at).unwrap_or(&"<end of output>"),
+        w.get(at).unwrap_or(&"<end of file>"),
+    );
+    false
+}
+
+/// `text` without its Table 2 section: from the `Table 2:` header up to
+/// the next figure or table header.
+fn without_table2(text: &str) -> String {
+    let mut skipping = false;
+    let mut out = String::with_capacity(text.len());
+    for line in text.lines() {
+        if line.starts_with("Table 2:") {
+            skipping = true;
+        } else if line.starts_with("Figure ") || line.starts_with("Table ") {
+            skipping = false;
+        }
+        if !skipping {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
 }
 
 fn fmt() -> bool {
@@ -1436,6 +1532,7 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
             }),
         ),
         ("trace", false, Box::new(|| trace_gate("sample.trace.json"))),
+        ("paper", false, Box::new(|| paper_gate(GOLDEN_FIGURES))),
     ];
     let mut rows: Vec<(&str, bool, Duration)> = Vec::new();
     for (name, fast, gate) in gates {
@@ -1504,5 +1601,16 @@ fn ci(seed: u64, which: CiGates) -> ExitCode {
     } else {
         eprintln!("xtask: ci FAILED — see the gate summary above");
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::without_table2;
+
+    #[test]
+    fn table2_is_cut_up_to_the_next_header() {
+        let text = "Table 2: loc\n\n  concurrent 42\n\nFigure 4 x\nrow\nTable 3: y\n";
+        assert_eq!(without_table2(text), "Figure 4 x\nrow\nTable 3: y\n");
     }
 }
