@@ -3,10 +3,10 @@
 use tlbdown_core::OptConfig;
 use tlbdown_kernel::{KernelConfig, Machine};
 use tlbdown_types::{CoreId, Cycles, Topology};
-use tlbdown_workloads::apache::{apache_speedup, ApacheCfg};
+use tlbdown_workloads::apache::{apache_speedups, ApacheCfg};
 use tlbdown_workloads::cow::{run_cow_bench, CowBenchCfg};
 use tlbdown_workloads::madvise::{run_madvise_bench, MadviseBenchCfg, Placement};
-use tlbdown_workloads::sysbench::{sysbench_speedup, SysbenchCfg};
+use tlbdown_workloads::sysbench::{sysbench_speedups, SysbenchCfg};
 
 /// How much simulated work to spend per experiment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -94,6 +94,15 @@ pub fn app_levels(safe: bool) -> Vec<(&'static str, OptConfig)> {
     let top = v.last().expect("non-empty").1;
     v.push(("+batching", top.with_batching(true)));
     v
+}
+
+/// The [`app_levels`] compared against the baseline in Figures 10 and
+/// 11: every level but `base` itself, split into names and configs.
+fn speedup_levels(safe: bool) -> (Vec<&'static str>, Vec<OptConfig>) {
+    app_levels(safe)
+        .into_iter()
+        .filter(|(name, _)| *name != "base")
+        .unzip()
 }
 
 /// Render one figure of the 5–8 family.
@@ -216,12 +225,9 @@ pub fn fig10(scale: Scale) -> String {
             "Figure 10({}): Sysbench rnd-write + fdatasync, {mode} mode — speedup vs baseline\n\n",
             if safe { "a" } else { "b" }
         );
-        let levels = app_levels(safe);
+        let (names, levels) = speedup_levels(safe);
         out += &format!("  {:<8}", "threads");
-        for (name, _) in &levels {
-            if *name == "base" {
-                continue;
-            }
+        for name in &names {
             out += &format!(" {name:>12}");
         }
         out += "\n";
@@ -229,11 +235,7 @@ pub fn fig10(scale: Scale) -> String {
         scale_cfg.duration = scale.sysbench_duration();
         for t in scale.sysbench_threads() {
             out += &format!("  {t:<8}");
-            for (name, opts) in &levels {
-                if *name == "base" {
-                    continue;
-                }
-                let s = sysbench_speedup(t, safe, *opts, &scale_cfg);
+            for s in sysbench_speedups(t, safe, &levels, &scale_cfg) {
                 out += &format!(" {s:>11.3}x");
             }
             out += "\n";
@@ -252,12 +254,9 @@ pub fn fig11(scale: Scale) -> String {
             "Figure 11({}): Apache mpm_event model, {mode} mode — speedup vs baseline\n\n",
             if safe { "a" } else { "b" }
         );
-        let levels = app_levels(safe);
+        let (names, levels) = speedup_levels(safe);
         out += &format!("  {:<6}", "cores");
-        for (name, _) in &levels {
-            if *name == "base" {
-                continue;
-            }
+        for name in &names {
             out += &format!(" {name:>12}");
         }
         out += "\n";
@@ -265,11 +264,7 @@ pub fn fig11(scale: Scale) -> String {
         scale_cfg.duration = scale.apache_duration();
         for c in scale.apache_cores() {
             out += &format!("  {c:<6}");
-            for (name, opts) in &levels {
-                if *name == "base" {
-                    continue;
-                }
-                let s = apache_speedup(c, safe, *opts, &scale_cfg);
+            for s in apache_speedups(c, safe, &levels, &scale_cfg) {
                 out += &format!(" {s:>11.3}x");
             }
             out += "\n";

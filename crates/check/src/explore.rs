@@ -25,12 +25,11 @@
 //! CSQ work, and no acknowledged-but-unflushed items. Any breach yields a
 //! [`Counterexample`] carrying a replayable [`Schedule`].
 
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use tlbdown_kernel::Machine;
 use tlbdown_sim::{Candidate, Scheduler};
-use tlbdown_types::{Cycles, SimError};
+use tlbdown_types::{Cycles, FastSet, SimError};
 
 use crate::schedule::Schedule;
 
@@ -301,7 +300,7 @@ impl Report {
 /// the schedule budget is exhausted.
 pub fn explore(build: &Scenario<'_>, bounds: &Bounds) -> Report {
     let mut stats = ExploreStats::default();
-    let mut visited: HashSet<u64> = HashSet::new();
+    let mut visited: FastSet<u64> = FastSet::default();
     let mut stack: Vec<Vec<u16>> = vec![Vec::new()];
     while let Some(prefix) = stack.pop() {
         if stats.schedules >= bounds.max_schedules {

@@ -487,7 +487,7 @@ pub struct Cpu {
     pub in_batched_syscall: bool,
     /// Per-mm synced generation for previously-loaded address spaces whose
     /// PCID-tagged entries may survive in the TLB.
-    pub pcid_gens: std::collections::HashMap<tlbdown_types::MmId, u64>,
+    pub pcid_gens: tlbdown_types::FastMap<tlbdown_types::MmId, u64>,
 }
 
 impl Cpu {

@@ -183,8 +183,9 @@ mod tests {
 
     #[test]
     fn digest_is_reproducible_across_identical_runs() {
-        // Two machines stepped identically must agree at every step —
-        // catches hash-map iteration order leaking into the digest.
+        // Two machines stepped identically must agree at every step. Both
+        // maps share the fixed hasher, so this cannot catch map iteration
+        // order leaking into the digest; the canonical sorts above do.
         assert_eq!(run_one(), run_one());
     }
 
@@ -193,7 +194,7 @@ mod tests {
         let d = run_one();
         assert!(d.len() > 10);
         // Not every step changes protocol state, but many must.
-        let distinct: std::collections::HashSet<_> = d.iter().collect();
+        let distinct: tlbdown_types::FastSet<_> = d.iter().collect();
         assert!(distinct.len() > d.len() / 2);
     }
 }

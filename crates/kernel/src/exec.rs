@@ -424,7 +424,9 @@ impl Machine {
                 // (the MMU's microcode D-bit walk).
                 if write {
                     if let Some(mm) = self.mms.get_mut(&mm_id) {
-                        let _ = mm.space.mark_used(va, true);
+                        if let Ok(w) = mm.space.walk(va) {
+                            mm.space.mark_used(&w, true);
+                        }
                     }
                     self.dirty_index.entry(mm_id).or_default().insert(va.vpn());
                 }
@@ -1575,12 +1577,9 @@ mod tests {
         let addr = m.setup_map_file(mm, f, true).expect("boot: map file");
         assert!(m.resolve_demand_fault(CoreId(0), mm, addr, true).is_some());
         // The MMU's D-bit walk on the write access.
-        let _ = m
-            .mms
-            .get_mut(&mm)
-            .expect("mm exists")
-            .space
-            .mark_used(addr, true);
+        let space = &mut m.mms.get_mut(&mm).expect("mm exists").space;
+        let w = space.walk(addr).expect("just faulted in");
+        space.mark_used(&w, true);
         let mut sf = syscall_frame(SyscallStage::Body);
         let range = tlbdown_types::VirtRange::pages(addr, 1, PageSize::Size4K);
         let cost = m

@@ -121,7 +121,7 @@ impl Machine {
         // would have recorded them. Pairs for pages that had no PTE carry
         // no flush debt; leaving them un-retired is the conservative
         // (always-legal) direction.
-        let pairs: std::collections::HashMap<u64, u64> = if any_change {
+        let pairs: tlbdown_types::FastMap<u64, u64> = if any_change {
             self.oracle
                 .range_modified(mm_id, range)
                 .into_iter()

@@ -2,13 +2,13 @@
 //!
 //! Each [`AddrSpace`] owns its table pages (keyed by physical frame number)
 //! while the frames themselves come from [`PhysMem`], so freed-table
-//! detection and walk traces work on real physical addresses.
-
-use std::collections::HashMap;
+//! detection works on real physical addresses.
 
 use crate::frame::{FrameState, PhysMem};
 use crate::pte::{Pte, TablePage};
-use tlbdown_types::{PageSize, PhysAddr, PteFlags, SimError, SimResult, VirtAddr, VirtRange};
+use tlbdown_types::{
+    FastMap, PageSize, PhysAddr, PteFlags, SimError, SimResult, VirtAddr, VirtRange,
+};
 
 /// Result of a page walk.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -17,10 +17,9 @@ pub struct Walk {
     pub pte: Pte,
     /// The page size mapped by the leaf.
     pub size: PageSize,
-    /// Physical addresses of the table pages traversed, root first.
-    /// These are what the paging-structure cache would hold and what a
-    /// speculative walker touches (machine-check hazard, §3.2).
-    pub trace: Vec<PhysAddr>,
+    /// Physical address of the table page holding the leaf: the PT for a
+    /// 4KB page, the PD for 2MB, the PDPT for 1GB.
+    pub leaf_table: PhysAddr,
     /// Base virtual address of the mapped page.
     pub page_base: VirtAddr,
 }
@@ -47,7 +46,7 @@ pub struct UnmapOutcome {
 #[derive(Debug)]
 pub struct AddrSpace {
     root: PhysAddr,
-    tables: HashMap<u64, Box<TablePage>>,
+    tables: FastMap<u64, Box<TablePage>>,
 }
 
 /// Flags used on non-leaf (table-pointer) entries.
@@ -60,7 +59,7 @@ impl AddrSpace {
     pub fn new(mem: &mut PhysMem) -> SimResult<Self> {
         let mut s = AddrSpace {
             root: PhysAddr(0),
-            tables: HashMap::new(),
+            tables: FastMap::default(),
         };
         s.root = s.alloc_table(mem)?;
         Ok(s)
@@ -159,11 +158,11 @@ impl AddrSpace {
         Ok(())
     }
 
-    /// Walk the tables for `va`, returning the leaf and the trace of table
-    /// pages touched. Does not modify accessed/dirty bits.
+    /// Walk the tables for `va`, returning the leaf and the table page
+    /// that holds it. Allocates nothing and does not modify
+    /// accessed/dirty bits.
     pub fn walk(&self, va: VirtAddr) -> SimResult<Walk> {
         let mut table_addr = self.root;
-        let mut trace = vec![table_addr];
         for level in (0..=3u8).rev() {
             let entry = self.table(table_addr)[va.pt_index(level)];
             if !entry.present() {
@@ -179,12 +178,11 @@ impl AddrSpace {
                 return Ok(Walk {
                     pte: entry,
                     size,
-                    trace,
+                    leaf_table: table_addr,
                     page_base: va.align_down(size),
                 });
             }
             table_addr = entry.addr;
-            trace.push(table_addr);
         }
         unreachable!("level-0 entries always terminate the walk");
     }
@@ -200,27 +198,29 @@ impl AddrSpace {
     /// updates, and the CoW PTE swap.
     pub fn update_entry(&mut self, va: VirtAddr, f: impl FnOnce(Pte) -> Pte) -> SimResult<Pte> {
         let walk = self.walk(va)?;
-        let leaf_table = *walk.trace.last().expect("walk trace is never empty");
-        let level = Self::leaf_level(walk.size);
-        let idx = va.pt_index(level);
-        let slot = &mut self.table_mut(leaf_table)[idx];
+        let slot = self.leaf_slot(&walk);
         let old = *slot;
         *slot = f(old);
         Ok(old)
     }
 
-    /// Set the accessed (and optionally dirty) bit, as the MMU does when a
-    /// translation is used.
-    pub fn mark_used(&mut self, va: VirtAddr, write: bool) -> SimResult<()> {
-        self.update_entry(va, |p| {
-            let p = p.with(PteFlags::ACCESSED);
-            if write {
-                p.with(PteFlags::DIRTY)
-            } else {
-                p
-            }
-        })?;
-        Ok(())
+    /// The table slot holding `walk`'s leaf.
+    fn leaf_slot(&mut self, walk: &Walk) -> &mut Pte {
+        let idx = walk.page_base.pt_index(Self::leaf_level(walk.size));
+        &mut self.table_mut(walk.leaf_table)[idx]
+    }
+
+    /// Set the accessed (and optionally dirty) bit on the leaf `walk`
+    /// found, as the MMU does when a translation is used, and return the
+    /// updated entry. `walk` must come from [`AddrSpace::walk`] on this
+    /// space with no table change since, so no second walk is needed.
+    pub fn mark_used(&mut self, walk: &Walk, write: bool) -> Pte {
+        let slot = self.leaf_slot(walk);
+        *slot = slot.with(PteFlags::ACCESSED);
+        if write {
+            *slot = slot.with(PteFlags::DIRTY);
+        }
+        *slot
     }
 
     /// Clear leaf entries in `range` but keep the table pages
@@ -231,9 +231,7 @@ impl AddrSpace {
         while va < range.end {
             match self.walk(va) {
                 Ok(w) => {
-                    let leaf_table = *w.trace.last().expect("non-empty trace");
-                    let level = Self::leaf_level(w.size);
-                    self.table_mut(leaf_table)[va.pt_index(level)] = Pte::EMPTY;
+                    *self.leaf_slot(&w) = Pte::EMPTY;
                     out.removed.push((w.page_base, w.pte, w.size));
                     va = w.page_base.add(w.size.bytes());
                 }
@@ -290,9 +288,7 @@ impl AddrSpace {
                 Ok(w) => {
                     let new = w.pte.with(set).without(clear);
                     if new != w.pte {
-                        let leaf_table = *w.trace.last().expect("non-empty trace");
-                        let level = Self::leaf_level(w.size);
-                        self.table_mut(leaf_table)[va.pt_index(level)] = new;
+                        *self.leaf_slot(&w) = new;
                         changed.push((w.page_base, new, w.size));
                     }
                     va = w.page_base.add(w.size.bytes());
@@ -323,14 +319,12 @@ impl AddrSpace {
             }
             PageSize::Size2M => {}
         }
-        let parent = *w.trace.last().expect("walk trace is never empty");
-        let idx = w.page_base.pt_index(1);
         let new = self.alloc_table(mem)?;
         let flags = w.pte.flags.without(PteFlags::HUGE);
         for i in 0..512u64 {
             self.table_mut(new)[i as usize] = Pte::new(w.pte.addr.add(i * 4096), flags);
         }
-        self.table_mut(parent)[idx] = Pte::new(new, table_flags());
+        *self.leaf_slot(&w) = Pte::new(new, table_flags());
         Ok(true)
     }
 
@@ -398,6 +392,16 @@ mod tests {
         (mem, space)
     }
 
+    /// The table page at `level` on the path to `va` (3 is the root PML4,
+    /// 1 the PD, 0 the PT).
+    fn table_on_path(s: &AddrSpace, va: VirtAddr, level: u8) -> PhysAddr {
+        let mut t = s.root();
+        for l in (level + 1..=3).rev() {
+            t = s.table(t)[va.pt_index(l)].addr;
+        }
+        t
+    }
+
     #[test]
     fn map_walk_roundtrip_4k() {
         let (mut mem, mut s) = setup();
@@ -409,7 +413,12 @@ mod tests {
         assert_eq!(w.pte.addr, pa);
         assert_eq!(w.size, PageSize::Size4K);
         assert_eq!(w.translate(va.add(0x123)), pa.add(0x123));
-        assert_eq!(w.trace.len(), 4, "4KB walk touches 4 table pages");
+        assert_eq!(
+            w.leaf_table,
+            table_on_path(&s, va, 0),
+            "4KB leaf is in the PT"
+        );
+        assert_eq!(s.table(w.leaf_table)[va.pt_index(0)], w.pte);
         assert_eq!(w.page_base, va);
     }
 
@@ -426,7 +435,12 @@ mod tests {
         let w = s.walk(va.add(0x12345)).unwrap();
         assert_eq!(w.size, PageSize::Size2M);
         assert!(w.pte.huge());
-        assert_eq!(w.trace.len(), 3, "2MB walk touches 3 table pages");
+        assert_eq!(
+            w.leaf_table,
+            table_on_path(&s, va, 1),
+            "2MB leaf is in the PD"
+        );
+        assert_eq!(s.table(w.leaf_table)[va.pt_index(1)], w.pte);
         assert_eq!(w.translate(va.add(0x12345)), pa.add(0x12345));
     }
 
@@ -622,12 +636,15 @@ mod tests {
         let pa = mem.alloc(FrameState::UserPage).unwrap();
         s.map(&mut mem, va, pa, PageSize::Size4K, PteFlags::user_rw())
             .unwrap();
-        s.mark_used(va, false).unwrap();
+        let w = s.walk(va).unwrap();
+        let used = s.mark_used(&w, false);
         let (p, _) = s.entry(va).unwrap();
+        assert_eq!(used, p, "returns the updated leaf");
         assert!(p.flags.contains(PteFlags::ACCESSED));
         assert!(!p.dirty());
-        s.mark_used(va, true).unwrap();
-        assert!(s.entry(va).unwrap().0.dirty());
+        let used = s.mark_used(&w, true);
+        assert!(used.dirty());
+        assert_eq!(s.entry(va).unwrap().0, used);
     }
 
     #[test]

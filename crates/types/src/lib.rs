@@ -3,13 +3,14 @@
 //! This crate intentionally has no dependencies: it defines the vocabulary of
 //! the simulated machine — virtual/physical addresses, page sizes, core and
 //! socket identifiers, PCIDs, page-table entry flags, cycle counts, the
-//! machine topology, and the cost model that turns micro-operations into
-//! simulated cycles.
+//! machine topology, the cost model that turns micro-operations into
+//! simulated cycles, and the fixed hasher behind every simulator map.
 
 pub mod addr;
 pub mod cost;
 pub mod error;
 pub mod flags;
+pub mod hash;
 pub mod ids;
 pub mod topology;
 
@@ -17,5 +18,6 @@ pub use addr::{PageSize, PhysAddr, VirtAddr, VirtRange};
 pub use cost::{CostModel, Cycles, Distance};
 pub use error::{SimError, SimResult};
 pub use flags::PteFlags;
+pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use ids::{CoreId, MmId, Pcid, ProcessId, ThreadId};
 pub use topology::Topology;

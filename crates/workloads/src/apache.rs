@@ -276,17 +276,30 @@ pub fn run_apache(cfg: &ApacheCfg) -> ApacheResult {
     }
 }
 
-/// Speedup of `opts` over baseline at the same core count.
-pub fn apache_speedup(cores: u32, safe: bool, opts: OptConfig, scale: &ApacheCfg) -> f64 {
-    let mut base_cfg = scale.clone();
-    base_cfg.cores = cores;
-    base_cfg.safe = safe;
-    base_cfg.opts = OptConfig::baseline();
-    let mut opt_cfg = base_cfg.clone();
-    opt_cfg.opts = opts;
-    let base = run_apache(&base_cfg);
-    let opt = run_apache(&opt_cfg);
-    opt.throughput / base.throughput
+/// Speedup of each of `levels` over baseline at the same core count. The
+/// baseline runs once for all of them.
+pub fn apache_speedups(
+    cores: u32,
+    safe: bool,
+    levels: &[OptConfig],
+    scale: &ApacheCfg,
+) -> Vec<f64> {
+    let mut cfg = scale.clone();
+    cfg.cores = cores;
+    cfg.safe = safe;
+    cfg.opts = OptConfig::baseline();
+    let base = run_apache(&cfg).throughput;
+    levels
+        .iter()
+        .map(|&opts| {
+            run_apache(&ApacheCfg {
+                opts,
+                ..cfg.clone()
+            })
+            .throughput
+                / base
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -238,17 +238,30 @@ pub fn run_sysbench(cfg: &SysbenchCfg) -> SysbenchResult {
     }
 }
 
-/// Speedup of `opts` over the §5 baseline at the same thread count.
-pub fn sysbench_speedup(threads: u32, safe: bool, opts: OptConfig, scale: &SysbenchCfg) -> f64 {
-    let mut base_cfg = scale.clone();
-    base_cfg.threads = threads;
-    base_cfg.safe = safe;
-    base_cfg.opts = OptConfig::baseline();
-    let mut opt_cfg = base_cfg.clone();
-    opt_cfg.opts = opts;
-    let base = run_sysbench(&base_cfg);
-    let opt = run_sysbench(&opt_cfg);
-    opt.throughput / base.throughput
+/// Speedup of each of `levels` over the §5 baseline at the same thread
+/// count. The baseline runs once for all of them.
+pub fn sysbench_speedups(
+    threads: u32,
+    safe: bool,
+    levels: &[OptConfig],
+    scale: &SysbenchCfg,
+) -> Vec<f64> {
+    let mut cfg = scale.clone();
+    cfg.threads = threads;
+    cfg.safe = safe;
+    cfg.opts = OptConfig::baseline();
+    let base = run_sysbench(&cfg).throughput;
+    levels
+        .iter()
+        .map(|&opts| {
+            run_sysbench(&SysbenchCfg {
+                opts,
+                ..cfg.clone()
+            })
+            .throughput
+                / base
+        })
+        .collect()
 }
 
 #[cfg(test)]
